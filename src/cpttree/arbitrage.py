@@ -139,12 +139,10 @@ def _direction_max_kappa(dots: np.ndarray, probs: np.ndarray, pi: float) -> floa
 
 
 def _per_level(value: float | Sequence[float], horizon: int, name: str) -> list[float]:
-    if np.isscalar(value):
-        return [float(value)] * horizon
-    vals = [float(v) for v in value]
-    if len(vals) != horizon:
+    vals = [float(v) for v in np.atleast_1d(value)]
+    if len(vals) not in (1, horizon):
         raise ValidationError(f"{name} must be scalar or one value per period (T={horizon})")
-    return vals
+    return vals * horizon if len(vals) == 1 else vals
 
 
 def marche_certificate(
@@ -194,22 +192,14 @@ def validate_certificate(
     pi: float | Sequence[float],
     direction_samples: int = 128,
 ) -> tuple[bool, int | None]:
-    """Check a user-supplied (kappa, pi) pair node-by-node; returns a witness node."""
+    """Check one (kappa, pi) pair per period, or one for all, node by node; returns a witness node."""
     kappas = _per_level(kappa, tree.horizon, "kappa")
     pis = _per_level(pi, tree.horizon, "pi")
     if any(k <= 0 for k in kappas) or any(not 0.0 < p <= 1.0 for p in pis):
         raise ValidationError("need kappa > 0 and pi in (0, 1]")
-    dirs = unit_directions(tree.asset_dim, direction_samples)
     depth = tree.depth
-    for node in tree.nonterminal_ids:
-        node = int(node)
-        incs, probs = _node_support(tree, node)
-        k = kappas[depth[node]]
-        p = pis[depth[node]]
-        for xi in dirs:
-            if _tail_prob(incs @ xi, probs, k) < p - PROB_TOL:
-                return False, node
-    return True, None
+    entries = {int(n): (kappas[depth[n]], pis[depth[n]]) for n in tree.nonterminal_ids}
+    return validate_entries(tree, entries, direction_samples)
 
 
 def validate_entries(

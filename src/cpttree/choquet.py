@@ -23,6 +23,7 @@ from .tree import (
     ReferenceSpec,
     ScenarioTree,
     Strategy,
+    leaf_wealth,
 )
 
 
@@ -108,70 +109,68 @@ class CPTValue:
 
 
 class OutcomeEngine:
-    """Precomputed linear map from flat allocations to leaf outcomes X_T - B.
+    """Leaf outcomes X_T - B of flat allocations, and their moves one variable at a time.
 
-    Leaf wealth is affine in the allocation vector, so one leaf-by-variable
-    matrix built per (tree, reference) pair turns each objective evaluation
-    into a matrix-vector product.
+    Leaf wealth is affine in the allocation vector. The variable of a node at
+    depth t touches only the leaves below that node, a contiguous range of
+    ``leaf_ids``, and moves each by the increment on its path at step t+1.
+    ``matrix[t, c, r]`` holds that increment component c for leaf row r, so
+    the engine stores leaves * T * d floats, and ``shift`` adds one slice.
     """
 
     def __init__(self, tree: ScenarioTree, ref: ReferenceSpec | None = None):
         self.tree = tree
-        nt = tree.nonterminal_ids
-        self.col = {int(n): k for k, n in enumerate(nt)}
-        d = tree.asset_dim
-        self.n_vars = len(nt) * d
-        leaves = tree.leaf_ids
-        A = np.zeros((len(leaves), self.n_vars))
-        for row, leaf in enumerate(leaves):
-            node = int(leaf)
-            while node != 0:
-                par = tree.parent[node]
-                c = self.col[par] * d
-                A[row, c : c + d] += tree.increment_matrix[node]
-                node = par
-        self.matrix = A
+        self.n_vars = len(tree.nonterminal_ids) * tree.asset_dim
         self.leaf_prob = tree.leaf_prob
-        self.benchmark = ref.benchmark_array(tree) if ref is not None else np.zeros(len(leaves))
+        n_leaf = len(self.leaf_prob)
+        self.benchmark = ref.benchmark_array(tree) if ref is not None else np.zeros(n_leaf)
+        self.matrix = np.empty((tree.horizon, tree.asset_dim, n_leaf))
+        lo = np.empty(tree.n_nodes, dtype=int)
+        hi = np.empty(tree.n_nodes, dtype=int)
+        parent = np.asarray(tree.parent)
+        below = tree.leaf_ids
+        for t in range(tree.horizon - 1, -1, -1):
+            self.matrix[t] = tree.increment_matrix[below].T
+            below = parent[below]  # each leaf's ancestor at depth t
+            starts = np.flatnonzero(np.r_[True, below[1:] != below[:-1]])
+            lo[below[starts]] = starts
+            hi[below[starts]] = np.r_[starts[1:], n_leaf]
+        self._segments = [
+            (int(lo[n]), int(hi[n]), self.matrix[tree.depth[n], c, lo[n] : hi[n]])
+            for n in tree.nonterminal_ids
+            for c in range(tree.asset_dim)
+        ]
 
     def outcomes(self, flat_theta: np.ndarray, x0: float) -> np.ndarray:
-        return x0 + self.matrix @ flat_theta - self.benchmark
+        """Outcomes of one flat allocation vector, or of several stacked end to
+        end (a mixture's atoms), concatenated in the same order."""
+        per_atom = np.reshape(flat_theta, (-1, len(self.tree.nonterminal_ids), self.tree.asset_dim))
+        return np.concatenate(
+            [leaf_wealth(self.tree, theta, x0) - self.benchmark for theta in per_atom]
+        )
+
+    def shift(self, outs: np.ndarray, j: int, delta: float) -> np.ndarray:
+        """Copy of ``outs`` with variable j moved by delta; j counts on across
+        stacked atoms as in ``outcomes``."""
+        block, j = divmod(j, self.n_vars)
+        lo, hi, column = self._segments[j]
+        off = block * len(self.leaf_prob)
+        new = outs.copy()
+        new[off + lo : off + hi] += delta * column
+        return new
 
 
-def _leaf_outcomes_mat(
-    tree: ScenarioTree, theta: np.ndarray, x0: float, benchmark: np.ndarray | None = None
-) -> np.ndarray:
-    col = {int(n): k for k, n in enumerate(tree.nonterminal_ids)}
-    ds = tree.increment_matrix
-    wealth = np.empty(tree.n_nodes)
-    wealth[0] = float(x0)
-    for i in range(1, tree.n_nodes):
-        p = tree.parent[i]
-        wealth[i] = wealth[p] + float(theta[col[p]] @ ds[i])
-    outs = wealth[tree.leaf_ids]
-    if benchmark is not None:
-        outs = outs - benchmark
-    return outs
-
-
-def leaf_outcomes(
-    tree: ScenarioTree, strategy: PureStrategy, x0: float, benchmark: np.ndarray | None = None
-) -> np.ndarray:
-    """X_T - B per leaf by direct wealth recursion; linear memory in the tree."""
-    return _leaf_outcomes_mat(tree, strategy.as_matrix(tree), x0, benchmark)
+def _atoms(strategy: Strategy) -> tuple[tuple[float, PureStrategy], ...]:
+    return strategy.atoms if isinstance(strategy, RandomizedStrategy) else ((1.0, strategy),)
 
 
 def _strategy_outcome_law(
-    tree: ScenarioTree, strategy: Strategy, x0: float, benchmark: np.ndarray | None
+    tree: ScenarioTree, strategy: Strategy, x0: float, benchmark: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(strategy, RandomizedStrategy):
-        outs = []
-        probs = []
-        for weight, pure in strategy.atoms:
-            outs.append(leaf_outcomes(tree, pure, x0, benchmark))
-            probs.append(weight * tree.leaf_prob)
-        return np.concatenate(outs), np.concatenate(probs)
-    return leaf_outcomes(tree, strategy, x0, benchmark), tree.leaf_prob
+    """Product law of the external mixing atom and the tree scenario."""
+    atoms = _atoms(strategy)
+    outs = [leaf_wealth(tree, pure.as_matrix(tree), x0) - benchmark for _, pure in atoms]
+    return np.concatenate(outs), np.concatenate([w * tree.leaf_prob for w, _ in atoms])
 
 
 def cpt_value_from_outcomes(
@@ -265,20 +264,17 @@ def aux_value(
     am = pref.utility.alpha_minus
 
     def parts(pure: PureStrategy) -> tuple[float, float]:
-        w = _leaf_outcomes_mat(tree, pure.as_matrix(tree) - phi, x0)
+        w = leaf_wealth(tree, pure.as_matrix(tree) - phi, x0)
         p = tree.leaf_prob
         plus = float(p @ (1.0 + np.abs(w) ** lam_ap))
         minus = float(p @ np.maximum(aux.floor - w, 0.0) ** am)
         return plus, minus
 
-    if isinstance(strategy, RandomizedStrategy):
-        plus = minus = 0.0
-        for weight, pure in strategy.atoms:
-            pl, mi = parts(pure)
-            plus += weight * pl
-            minus += weight * mi
-    else:
-        plus, minus = parts(strategy)
+    plus = minus = 0.0
+    for weight, pure in _atoms(strategy):
+        pl, mi = parts(pure)
+        plus += weight * pl
+        minus += weight * mi
     v_plus = aux.k_plus_tilde * plus
     v_minus = aux.k_minus_tilde * (minus - 1.0)
     return v_plus, v_minus, v_plus - v_minus
@@ -309,10 +305,6 @@ def moment_tail_certificate(moments: Mapping[int, float], delta: float) -> float
     if m < 0:
         raise ValidationError("moments must be nonnegative")
     return 1.0 + m**delta / (n * delta - 1.0)
-
-
-def cpt_value_json(value: CPTValue) -> dict:
-    return value.to_json_dict()
 
 
 __all__ = [

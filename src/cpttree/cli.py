@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,12 +30,8 @@ from .preferences import (
     parse_preferences,
 )
 from .randtools import SELF_TEST_SEED, toolkit_self_test
-from .tree import PureStrategy, ReferenceSpec, parse_market
+from .tree import PureStrategy, ReferenceSpec, _fmt, parse_market
 from .wellposed import illposed_demo
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -50,6 +47,8 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} cannot be written as JSON")
         return _fmt(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -133,10 +132,17 @@ def _strategy_from_args(run: _Run, tree, args) -> PureStrategy:
     if args.theta is not None:
         return PureStrategy.constant(tree, args.theta)
     payload = json.loads(run.read_input(args.strategy))
-    if "constant" in payload:
-        return PureStrategy.constant(tree, payload["constant"])
-    alloc = {int(k): tuple(float(x) for x in v) for k, v in payload["allocations"].items()}
-    return PureStrategy(alloc)
+    try:
+        if "constant" in payload:
+            strategy = PureStrategy.constant(tree, payload["constant"])
+        else:
+            alloc = payload["allocations"].items()
+            strategy = PureStrategy({int(k): tuple(float(x) for x in v) for k, v in alloc})
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"strategy JSON needs 'constant' or numeric 'allocations': {exc!r}") from exc
+    if not all(math.isfinite(x) for vec in strategy.allocations.values() for x in vec):
+        raise ValidationError("strategy JSON holds a non-finite allocation")
+    return strategy
 
 
 def _strategy_json(strategy: PureStrategy) -> list[dict]:
@@ -146,10 +152,22 @@ def _strategy_json(strategy: PureStrategy) -> list[dict]:
     ]
 
 
-def _parse_levels(text: str) -> float | list[float]:
-    parts = [p for p in text.split(",") if p]
-    vals = [float(p) for p in parts]
-    return vals[0] if len(vals) == 1 else vals
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float, so NaN and inf never reach a computation."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_floats(text: str, option: str) -> list[float]:
+    try:
+        return [_finite_float(p) for p in text.split(",") if p]
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"{option}: {exc}") from exc
 
 
 def _cmd_value(args) -> int:
@@ -231,7 +249,7 @@ def _cmd_illposed(args) -> int:
             Distortion.power(args.gamma_plus), Distortion.power(args.gamma_minus)
         ),
     )
-    n_list = [float(s) for s in args.scan.split(",") if s]
+    n_list = _parse_floats(args.scan, "--scan")
     report, rows = illposed_demo(pref, args.ell, n_list)
     run.write_json("report.json", report.to_json_dict())
     csv = "n,v_plus,v_minus,v\n" + "".join(
@@ -258,7 +276,7 @@ def _cmd_marche(args) -> int:
     }
     run = _Run("marche-check", args.out, params, args.format)
     tree = parse_market(run.read_input(args.market))
-    cert = marche_certificate(tree, _parse_levels(args.pi), args.direction_samples)
+    cert = marche_certificate(tree, _parse_floats(args.pi, "--pi"), args.direction_samples)
     payload: dict = {
         "sampled": cert.sampled,
         "direction_samples": cert.direction_samples,
@@ -271,8 +289,8 @@ def _cmd_marche(args) -> int:
     if args.validate_kappa is not None:
         ok, node = validate_certificate(
             tree,
-            _parse_levels(args.validate_kappa),
-            _parse_levels(args.validate_pi),
+            _parse_floats(args.validate_kappa, "--validate-kappa"),
+            _parse_floats(args.validate_pi, "--validate-pi"),
             args.direction_samples,
         )
         payload["validation"] = {
@@ -311,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--market", required=True)
     sp.add_argument("--pref", default=None)
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    sp.add_argument("--theta", type=float, default=None, help="constant allocation")
+    sp.add_argument("--theta", type=_finite_float, default=None, help="constant allocation")
     sp.add_argument("--strategy", default=None, help="JSON strategy file")
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--benchmark", type=float, default=0.0)
+    sp.add_argument("--x0", type=_finite_float, default=0.0)
+    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_value)
 
@@ -322,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--market", required=True)
     sp.add_argument("--pref", default=None)
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    sp.add_argument("--x0", type=float, default=0.0)
-    sp.add_argument("--benchmark", type=float, default=0.0)
+    sp.add_argument("--x0", type=_finite_float, default=0.0)
+    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--box", type=float, default=None)
+    sp.add_argument("--box", type=_finite_float, default=None)
     sp.add_argument("--multistart", type=int, default=4)
     sp.add_argument("--atoms", type=int, default=1)
     _add_common(sp)
@@ -335,17 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--multistart", type=int, default=4)
-    sp.add_argument("--box", type=float, default=None)
+    sp.add_argument("--box", type=_finite_float, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_ladder)
 
     sp = sub.add_parser("illposed-demo", help="closed-form two-step divergence demo")
-    sp.add_argument("--alpha-plus", type=float, required=True)
-    sp.add_argument("--gamma-plus", type=float, required=True)
-    sp.add_argument("--alpha-minus", type=float, required=True)
-    sp.add_argument("--gamma-minus", type=float, required=True)
-    sp.add_argument("--k-minus", type=float, default=1.0)
-    sp.add_argument("--ell", type=float, required=True)
+    sp.add_argument("--alpha-plus", type=_finite_float, required=True)
+    sp.add_argument("--gamma-plus", type=_finite_float, required=True)
+    sp.add_argument("--alpha-minus", type=_finite_float, required=True)
+    sp.add_argument("--gamma-minus", type=_finite_float, required=True)
+    sp.add_argument("--k-minus", type=_finite_float, default=1.0)
+    sp.add_argument("--ell", type=_finite_float, required=True)
     sp.add_argument("--scan", default="10,1000,1000000")
     _add_common(sp)
     sp.set_defaults(func=_cmd_illposed)

@@ -115,17 +115,6 @@ def _finite(v: float) -> float:
     return v
 
 
-def _pure_objective(engine: OutcomeEngine, pref: PreferenceSpec, x0: float):
-    def value_of(outs: np.ndarray) -> float:
-        val = cpt_value_from_outcomes(outs, engine.leaf_prob, pref)
-        return _finite(float(val.v))
-
-    def shift(outs: np.ndarray, j: int, delta: float) -> np.ndarray:
-        return outs + delta * engine.matrix[:, j]
-
-    return value_of, shift
-
-
 def optimize_pure(
     tree: ScenarioTree,
     pref: PreferenceSpec,
@@ -145,20 +134,23 @@ def optimize_pure(
     m = engine.n_vars
     radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
     rng = np.random.default_rng(cfg.seed)
-    value_of, shift = _pure_objective(engine, pref, x0)
 
-    starts = [np.zeros(m), np.clip(-phi, -radius, radius)]
-    for s in extra_starts:
-        starts.append(np.clip(s.as_flat(tree) - phi, -radius, radius))
-    while len(starts) < 2 + len(extra_starts) + cfg.multistart:
-        starts.append(rng.uniform(-radius, radius, m))
+    def value_of(outs: np.ndarray) -> float:
+        return _finite(float(cpt_value_from_outcomes(outs, engine.leaf_prob, pref).v))
+
+    fixed = [np.zeros(m), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
+    starts = []
+    for z0 in (np.clip(z, -radius, radius) for z in fixed):
+        if not any(np.array_equal(z0, s) for s in starts):
+            starts.append(z0)
+    starts += [rng.uniform(-radius, radius, m) for _ in range(cfg.multistart)]
 
     lo = np.full(m, -radius)
     hi = np.full(m, radius)
     best_z, best_v = None, -np.inf
     for z0 in starts:
         outs0 = engine.outcomes(phi + z0, x0)
-        z, _, v = _compass(value_of, shift, z0, outs0, lo, hi, cfg.shrink, cfg.tol)
+        z, _, v = _compass(value_of, engine.shift, z0, outs0, lo, hi, cfg.shrink, cfg.tol)
         if v > best_v:
             best_z, best_v = z, v
 
@@ -170,7 +162,7 @@ def optimize_pure(
         hi = np.full(m, radius)
         outs0 = engine.outcomes(phi + best_z, x0)
         best_z, _, best_v = _compass(
-            value_of, shift, best_z, outs0, lo, hi, cfg.shrink, cfg.tol
+            value_of, engine.shift, best_z, outs0, lo, hi, cfg.shrink, cfg.tol
         )
 
     strategy = PureStrategy.from_flat(tree, phi + best_z)
@@ -200,20 +192,12 @@ def optimize_randomized(
     engine = OutcomeEngine(tree, ref)
     phi = ref.subhedge.as_flat(tree)
     m = engine.n_vars
-    n_leaf = len(engine.leaf_prob)
     radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
     rng = np.random.default_rng(cfg.seed)
     probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
 
     def value_of(outs: np.ndarray) -> float:
         return _finite(float(cpt_value_from_outcomes(outs, probs, pref).v))
-
-    def shift(outs: np.ndarray, j: int, delta: float) -> np.ndarray:
-        block, local = divmod(j, m)
-        new = outs.copy()
-        seg = slice(block * n_leaf, (block + 1) * n_leaf)
-        new[seg] = new[seg] + delta * engine.matrix[:, local]
-        return new
 
     z_pure = np.clip(pure_strat.as_flat(tree) - phi, -radius, radius)
     starts = [np.tile(z_pure, n_atoms)]
@@ -222,16 +206,12 @@ def optimize_randomized(
     while len(starts) < 2 + cfg.multistart:
         starts.append(rng.uniform(-radius, radius, m * n_atoms))
 
-    def outcomes_of(zz: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [engine.outcomes(phi + zz[b * m : (b + 1) * m], x0) for b in range(n_atoms)]
-        )
-
     lo = np.full(m * n_atoms, -radius)
     hi = np.full(m * n_atoms, radius)
     best_z, best_v = None, -np.inf
     for z0 in starts:
-        z, _, v = _compass(value_of, shift, z0, outcomes_of(z0), lo, hi, cfg.shrink, cfg.tol)
+        outs0 = engine.outcomes(np.tile(phi, n_atoms) + z0, x0)
+        z, _, v = _compass(value_of, engine.shift, z0, outs0, lo, hi, cfg.shrink, cfg.tol)
         if v > best_v:
             best_z, best_v = z, v
 

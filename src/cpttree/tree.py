@@ -107,7 +107,14 @@ class ScenarioTree:
 
     @cached_property
     def leaf_ids(self) -> np.ndarray:
-        ids = np.array([i for i in range(self.n_nodes) if not self.children[i]], dtype=int)
+        """Leaves in depth-first order, so the leaves below any node are one
+        contiguous range; for level-by-level ids this is id order."""
+        # sort the leaves by their ancestor ids, the depth-1 ancestor first
+        parent = np.asarray(self.parent)
+        keys = [np.flatnonzero(self.depth == self.horizon)]
+        for _ in range(self.horizon - 1):
+            keys.append(parent[keys[-1]])
+        ids = keys[0][np.lexsort(keys)]
         ids.flags.writeable = False
         return ids
 
@@ -137,9 +144,6 @@ class ScenarioTree:
         p = self.path_prob[self.leaf_ids]
         p.flags.writeable = False
         return p
-
-    def is_leaf(self, node: int) -> bool:
-        return not self.children[node]
 
 
 @dataclass(frozen=True)
@@ -252,28 +256,38 @@ class ReferenceSpec:
         return np.array(vals)
 
 
-def terminal_wealth(tree: ScenarioTree, strategy: PureStrategy, x0: float) -> dict[int, float]:
-    """Terminal wealth per leaf: x0 plus the path sum of allocation.increment."""
-    theta = strategy.as_matrix(tree)
-    col = {int(n): k for k, n in enumerate(tree.nonterminal_ids)}
-    ds = tree.increment_matrix
+def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
+    """Terminal wealth in ``leaf_ids`` order for allocations stacked in
+    nonterminal-id order: x0 plus the path sum of allocation.increment.
+
+    The pass runs level by level; each node adds one row dot product to its
+    parent's wealth, the same sum as a node-by-node recursion.
+    """
+    parent = np.asarray(tree.parent)
+    depth = tree.depth
     wealth = np.empty(tree.n_nodes)
     wealth[0] = float(x0)
-    for i in range(1, tree.n_nodes):
-        p = tree.parent[i]
-        wealth[i] = wealth[p] + float(theta[col[p]] @ ds[i])
-    return {int(leaf): float(wealth[leaf]) for leaf in tree.leaf_ids}
+    for t in range(1, tree.horizon + 1):
+        nodes = np.flatnonzero(depth == t)
+        up = parent[nodes]
+        rows = theta[np.searchsorted(tree.nonterminal_ids, up)]
+        dots = np.matmul(rows[:, None, :], tree.increment_matrix[nodes][:, :, None])
+        wealth[nodes] = wealth[up] + dots[:, 0, 0]
+    return wealth[tree.leaf_ids]
+
+
+def terminal_wealth(tree: ScenarioTree, strategy: PureStrategy, x0: float) -> dict[int, float]:
+    """Terminal wealth per leaf: x0 plus the path sum of allocation.increment."""
+    wealth = leaf_wealth(tree, strategy.as_matrix(tree), x0)
+    return {int(leaf): float(w) for leaf, w in zip(tree.leaf_ids, wealth)}
 
 
 def validate_subhedge(tree: ScenarioTree, ref: ReferenceSpec, tol: float = 1e-12) -> tuple[bool, int | None]:
     """Check floor + subhedge wealth <= benchmark leaf-by-leaf; returns a witness leaf."""
-    wealth = terminal_wealth(tree, ref.subhedge, ref.floor)
-    for leaf in tree.leaf_ids:
-        b = ref.benchmark.get(int(leaf))
-        if b is None:
-            raise ValidationError(f"benchmark missing leaf {int(leaf)}")
-        if wealth[int(leaf)] > b + tol:
-            return False, int(leaf)
+    wealth = leaf_wealth(tree, ref.subhedge.as_matrix(tree), ref.floor)
+    above = np.flatnonzero(wealth > ref.benchmark_array(tree) + tol)
+    if above.size:
+        return False, int(tree.leaf_ids[above[0]])
     return True, None
 
 
@@ -288,7 +302,8 @@ def emit_market(tree: ScenarioTree) -> str:
 
 def parse_market(text: str) -> ScenarioTree:
     """Parse the market text format; the root (node 0) is implicit."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    stripped = (ln.strip() for ln in text.splitlines())
+    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
     if not lines:
         raise ValidationError("empty market file")
     header = lines[0].split()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cpttree import build_iid_market, emit_market
-from cpttree.cli import main
+from cpttree.cli import _dumps, main
 
 TK_PREF = (
     "alpha_plus=0.88\nalpha_minus=0.88\nk_minus=2.25\n"
@@ -57,6 +57,57 @@ class TestValue:
     def test_missing_market_file_exit_2(self, tmp_path):
         code = main(["value", "--market", str(tmp_path / "nope.mkt"), "--theta", "0.1"])
         assert code == 2
+
+
+class TestBoundary:
+    """Exit 2 for every malformed input, and no non-finite float in an artifact."""
+
+    @pytest.mark.parametrize("flag,text", [("--theta", "nan"), ("--x0", "inf"), ("--benchmark", "-inf")])
+    def test_non_finite_float_option_exits_2(self, tmp_path, coin_market_file, flag, text):
+        args = ["value", "--market", str(coin_market_file), "--out", str(tmp_path / "o")]
+        if flag != "--theta":
+            args += ["--theta", "0.25"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + [f"{flag}={text}"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_dumps_refuses_non_finite(self):
+        for x in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="non-finite"):
+                _dumps({"v": [1.0, x]})
+
+    @pytest.mark.parametrize("extra", [["--pi", "abc"], ["--validate-kappa", "abc", "--validate-pi", "0.5"]])
+    def test_marche_bad_levels_exit_2(self, tmp_path, coin_market_file, capsys, extra):
+        code = main(["marche-check", "--market", str(coin_market_file), "--out", str(tmp_path)] + extra)
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_illposed_bad_scan_exits_2(self, tmp_path, capsys):
+        code = main(TestIllposedDemo.ARGS + ["--scan", "10,abc", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--scan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"alloc": {"0": [0.25]}}', "[0.25]", '{"allocations": {"0": ["abc"]}}',
+         '{"allocations": {"0": [NaN]}}', '{"constant": Infinity}'],
+    )
+    def test_malformed_strategy_json_exits_2(self, tmp_path, coin_market_file, payload):
+        strat = tmp_path / "s.json"
+        strat.write_text(payload)
+        code = main(
+            ["value", "--market", str(coin_market_file), "--strategy", str(strat), "--out", str(tmp_path)]
+        )
+        assert code == 2
+
+    def test_indented_comment_market_values(self, tmp_path, coin_market_file):
+        header, body = coin_market_file.read_text().split("\n", 1)
+        indented = tmp_path / "indented.mkt"
+        indented.write_text(f"{header}\n  # one-step fair coin\n{body}")
+        out = tmp_path / "out"
+        assert main(["value", "--market", str(indented), "--theta", "0.25", "--out", str(out)]) == 0
+        assert read_json(out / "value.json")["v"] == pytest.approx(0.375, abs=1e-12)
 
 
 class TestCheckWellposed:

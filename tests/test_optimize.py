@@ -17,6 +17,7 @@ from cpttree import (
     optimize_randomized,
     perturbation_check,
 )
+from cpttree import optimize
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
 
 M0 = 0.375
@@ -145,6 +146,20 @@ class TestOptimizePure:
             ref = ReferenceSpec.zero(tree)
             _, val = optimize_pure(tree, pref, 0.0, ref, SearchConfig(seed=7, multistart=2))
             assert val.v >= -1e-12
+
+    def test_zero_subhedge_runs_the_zero_start_once(self, coin_tree, monkeypatch):
+        calls = []
+        real = optimize._compass
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].copy())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "_compass", counting)
+        cfg = SearchConfig(seed=1, multistart=2, max_box_doublings=0)
+        optimize_pure(coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), cfg)
+        assert len(calls) == 1 + cfg.multistart
+        assert not np.any(calls[0]) and all(np.any(z) for z in calls[1:])
 
     def test_gate_violation_warns(self, coin_tree):
         bad = PreferenceSpec(

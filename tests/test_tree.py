@@ -194,3 +194,8 @@ class TestMarketFormat:
         tree = one_step_coin()
         text = "# a market\n\n" + emit_market(tree)
         assert parse_market(text) == tree
+
+    def test_indented_comment_ignored(self):
+        tree = one_step_coin()
+        header, body = emit_market(tree).split("\n", 1)
+        assert parse_market(f"{header}\n  # one-step coin\n\t# tab\n{body}") == tree
