@@ -170,30 +170,17 @@ def _parse_floats(text: str, option: str) -> list[float]:
         raise ValidationError(f"{option}: {exc}") from exc
 
 
-def _cmd_value(args) -> int:
-    params = {
-        "market": args.market, "pref": args.pref, "theta": args.theta,
-        "strategy": args.strategy, "x0": args.x0, "benchmark": args.benchmark,
-        "set": list(args.set),
-    }
-    run = _Run("value", args.out, params, args.format)
+def _cmd_value(run: _Run, args) -> int:
     tree = parse_market(run.read_input(args.market))
     pref = _load_preferences(run, args.pref, args.set)
     strategy = _strategy_from_args(run, tree, args)
     ref = ReferenceSpec.constant(tree, args.benchmark)
     value = cpt_value(tree, strategy, args.x0, ref, pref)
     run.write_json("value.json", value.to_json_dict())
-    run.finish()
     return 0
 
 
-def _cmd_optimize(args) -> int:
-    params = {
-        "market": args.market, "pref": args.pref, "x0": args.x0,
-        "benchmark": args.benchmark, "seed": args.seed, "box": args.box,
-        "multistart": args.multistart, "atoms": args.atoms, "set": list(args.set),
-    }
-    run = _Run("optimize", args.out, params, args.format)
+def _cmd_optimize(run: _Run, args) -> int:
     tree = parse_market(run.read_input(args.market))
     pref = _load_preferences(run, args.pref, args.set)
     ref = ReferenceSpec.constant(tree, args.benchmark)
@@ -215,15 +202,10 @@ def _cmd_optimize(args) -> int:
             "strategy": _strategy_json(strategy),
         }
     run.write_json("optimize.json", payload)
-    run.finish()
     return 0
 
 
-def _cmd_ladder(args) -> int:
-    params = {
-        "n": args.n, "seed": args.seed, "multistart": args.multistart, "box": args.box,
-    }
-    run = _Run("randomization-ladder", args.out, params, args.format)
+def _cmd_ladder(run: _Run, args) -> int:
     cfg = SearchConfig(box_radius=args.box, multistart=args.multistart, seed=args.seed)
     result = ladder(args.n, cfg)
     csv = "n,M_n\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(result.values))
@@ -232,17 +214,10 @@ def _cmd_ladder(args) -> int:
         "ladder.json",
         {"values": list(result.values), "argmax": [list(a) for a in result.argmax]},
     )
-    run.finish()
     return 0
 
 
-def _cmd_illposed(args) -> int:
-    params = {
-        "alpha_plus": args.alpha_plus, "gamma_plus": args.gamma_plus,
-        "alpha_minus": args.alpha_minus, "gamma_minus": args.gamma_minus,
-        "k_minus": args.k_minus, "ell": args.ell, "scan": args.scan,
-    }
-    run = _Run("illposed-demo", args.out, params, args.format)
+def _cmd_illposed(run: _Run, args) -> int:
     pref = PreferenceSpec(
         utility=UtilityPair.power(args.alpha_plus, args.alpha_minus, k=args.k_minus),
         distortion=DistortionPair(
@@ -256,25 +231,16 @@ def _cmd_illposed(args) -> int:
         f"{_fmt(r.n)},{_fmt(r.v_plus)},{_fmt(r.v_minus)},{_fmt(r.v)}\n" for r in rows
     )
     run.write("scan.csv", csv)
-    run.finish()
     return 0
 
 
-def _cmd_check_wellposed(args) -> int:
-    params = {"pref": args.pref, "set": list(args.set)}
-    run = _Run("check-wellposed", args.out, params, args.format)
+def _cmd_check_wellposed(run: _Run, args) -> int:
     pref = _load_preferences(run, args.pref, args.set)
     run.write_json("report.json", check_conditions(pref).to_json_dict())
-    run.finish()
     return 0
 
 
-def _cmd_marche(args) -> int:
-    params = {
-        "market": args.market, "pi": args.pi, "direction_samples": args.direction_samples,
-        "validate_kappa": args.validate_kappa, "validate_pi": args.validate_pi,
-    }
-    run = _Run("marche-check", args.out, params, args.format)
+def _cmd_marche(run: _Run, args) -> int:
     tree = parse_market(run.read_input(args.market))
     cert = marche_certificate(tree, _parse_floats(args.pi, "--pi"), args.direction_samples)
     payload: dict = {
@@ -298,18 +264,12 @@ def _cmd_marche(args) -> int:
             "valid": ok, "witness_node": node,
         }
     run.write_json("certificate.json", payload)
-    run.finish()
     return 0
 
 
-def _cmd_toolkit(args) -> int:
-    if args.action != "self-test":
-        raise ValidationError(f"unknown toolkit action {args.action!r}")
-    params = {"seed": args.seed}
-    run = _Run("toolkit self-test", args.out, params, args.format)
+def _cmd_toolkit(run: _Run, args) -> int:
     report = toolkit_self_test(args.seed)
     run.write_json("selftest.json", report)
-    run.finish()
     return 0 if report["all_passed"] else 1
 
 
@@ -392,11 +352,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse dests that are not recorded in the manifest's parameters
+_NOT_PARAMETERS = {"command", "func", "out", "format", "action"}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    subcommand = f"{args.command} {args.action}" if args.command == "toolkit" else args.command
+    run = _Run(subcommand, args.out, params, args.format)
     try:
-        return args.func(args)
+        code = args.func(run, args)
+        run.finish()
+        return code
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

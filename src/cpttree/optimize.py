@@ -33,7 +33,6 @@ class SearchConfig:
 
     box_radius: float | None = None
     multistart: int = 4
-    shrink: float = 0.5
     tol: float = 1e-9
     seed: int = 0
     max_box_doublings: int = 6
@@ -41,8 +40,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.box_radius is not None and self.box_radius <= 0:
             raise ValidationError("box_radius must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValidationError("shrink must lie in (0, 1)")
         if self.tol <= 0:
             raise ValidationError("tol must be positive")
         if self.multistart < 1:
@@ -54,6 +51,7 @@ def default_box_radius(x0: float) -> float:
 
 
 _EVAL_BUDGET = 2_000_000
+_SHRINK = 0.5
 
 
 def _compass(
@@ -61,12 +59,11 @@ def _compass(
     shift: Callable[[np.ndarray, int, float], np.ndarray],
     z0: np.ndarray,
     state0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    shrink: float,
+    lo: float,
+    hi: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coordinate poll with opportunistic acceptance and step shrinking.
+) -> tuple[np.ndarray, float]:
+    """Coordinate poll in [lo, hi]^m with opportunistic acceptance and step shrinking.
 
     ``state`` is whatever cached transform of z the objective consumes;
     ``shift`` updates it when coordinate j moves by delta. The full step
@@ -77,7 +74,7 @@ def _compass(
     state = state0
     best = value_of(state)
     m = z.size
-    step0 = float(np.max(hi - lo)) / 4.0
+    step0 = (hi - lo) / 4.0
     evals = 0
     for _ in range(50):
         cycle_start = best
@@ -88,7 +85,7 @@ def _compass(
             while fails < m and evals < _EVAL_BUDGET:
                 improved = False
                 for sgn in (1.0, -1.0):
-                    nc = min(hi[j], max(lo[j], z[j] + sgn * step))
+                    nc = min(hi, max(lo, z[j] + sgn * step))
                     delta = nc - z[j]
                     if delta == 0.0:
                         continue
@@ -103,16 +100,73 @@ def _compass(
                         break
                 fails = 0 if improved else fails + 1
                 j = (j + 1) % m
-            step *= shrink
+            step *= _SHRINK
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
-    return z, state, best
+    return z, best
 
 
 def _finite(v: float) -> float:
     if not np.isfinite(v):
         raise RuntimeError("non-finite objective value during search")
     return v
+
+
+def _multistart(
+    value_of: Callable[[np.ndarray], float],
+    shift: Callable[[np.ndarray, int, float], np.ndarray],
+    state_of: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[np.ndarray],
+    lo: float,
+    hi: float,
+    tol: float,
+) -> tuple[np.ndarray, float]:
+    """Compass search from each start in turn; the first best result wins."""
+    best_z, best_v = None, -np.inf
+    for z0 in starts:
+        z, v = _compass(value_of, shift, z0, state_of(z0), lo, hi, tol)
+        if v > best_v:
+            best_z, best_v = z, v
+    return best_z, best_v
+
+
+def _search_tree(
+    tree: ScenarioTree,
+    pref: PreferenceSpec,
+    x0: float,
+    ref: ReferenceSpec,
+    cfg: SearchConfig,
+    starts: Callable[[np.ndarray, float, np.random.Generator], list[np.ndarray]],
+    n_atoms: int,
+    max_doublings: int,
+) -> list[PureStrategy]:
+    """Best equal-weight mixture of ``n_atoms`` pure strategies in the box
+    ||theta - subhedge||_inf <= radius per node and atom, searched as offsets
+    from the sub-hedge. ``starts(phi, radius, rng)`` gives the start offsets;
+    the box doubles up to ``max_doublings`` times while the winner touches it."""
+    engine = OutcomeEngine(tree, ref)
+    phi = ref.subhedge.as_flat(tree)
+    radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
+    stacked_phi = np.tile(phi, n_atoms)
+    probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
+
+    def value_of(outs: np.ndarray) -> float:
+        return _finite(float(cpt_value_from_outcomes(outs, probs, pref).v))
+
+    def search(z0s: Sequence[np.ndarray]) -> np.ndarray:
+        return _multistart(
+            value_of, engine.shift, lambda z: engine.outcomes(stacked_phi + z, x0),
+            z0s, -radius, radius, cfg.tol,
+        )[0]
+
+    best_z = search(starts(phi, radius, np.random.default_rng(cfg.seed)))
+    for _ in range(max_doublings):
+        if np.max(np.abs(best_z)) < radius * (1 - 1e-9):
+            break
+        radius *= 2.0
+        best_z = search([best_z])
+    atoms = (stacked_phi + best_z).reshape(n_atoms, -1)
+    return [PureStrategy.from_flat(tree, theta) for theta in atoms]
 
 
 def optimize_pure(
@@ -129,43 +183,16 @@ def optimize_pure(
     if not pref.condition_a:
         warnings.warn("preferences fail the decisive well-posedness gate; the "
                       "objective may be effectively unbounded", stacklevel=2)
-    engine = OutcomeEngine(tree, ref)
-    phi = ref.subhedge.as_flat(tree)
-    m = engine.n_vars
-    radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
-    rng = np.random.default_rng(cfg.seed)
 
-    def value_of(outs: np.ndarray) -> float:
-        return _finite(float(cpt_value_from_outcomes(outs, engine.leaf_prob, pref).v))
+    def starts(phi, radius, rng):
+        fixed = [np.zeros(phi.size), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
+        unique: list[np.ndarray] = []
+        for z0 in (np.clip(z, -radius, radius) for z in fixed):
+            if not any(np.array_equal(z0, s) for s in unique):
+                unique.append(z0)
+        return unique + [rng.uniform(-radius, radius, phi.size) for _ in range(cfg.multistart)]
 
-    fixed = [np.zeros(m), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
-    starts = []
-    for z0 in (np.clip(z, -radius, radius) for z in fixed):
-        if not any(np.array_equal(z0, s) for s in starts):
-            starts.append(z0)
-    starts += [rng.uniform(-radius, radius, m) for _ in range(cfg.multistart)]
-
-    lo = np.full(m, -radius)
-    hi = np.full(m, radius)
-    best_z, best_v = None, -np.inf
-    for z0 in starts:
-        outs0 = engine.outcomes(phi + z0, x0)
-        z, _, v = _compass(value_of, engine.shift, z0, outs0, lo, hi, cfg.shrink, cfg.tol)
-        if v > best_v:
-            best_z, best_v = z, v
-
-    doublings = 0
-    while doublings < cfg.max_box_doublings and np.max(np.abs(best_z)) >= radius * (1 - 1e-9):
-        radius *= 2.0
-        doublings += 1
-        lo = np.full(m, -radius)
-        hi = np.full(m, radius)
-        outs0 = engine.outcomes(phi + best_z, x0)
-        best_z, _, best_v = _compass(
-            value_of, engine.shift, best_z, outs0, lo, hi, cfg.shrink, cfg.tol
-        )
-
-    strategy = PureStrategy.from_flat(tree, phi + best_z)
+    (strategy,) = _search_tree(tree, pref, x0, ref, cfg, starts, 1, cfg.max_box_doublings)
     return strategy, cpt_value(tree, strategy, x0, ref, pref)
 
 
@@ -189,33 +216,13 @@ def optimize_randomized(
     if n_atoms == 1:
         return RandomizedStrategy.equal_weights([pure_strat]), pure_val
 
-    engine = OutcomeEngine(tree, ref)
-    phi = ref.subhedge.as_flat(tree)
-    m = engine.n_vars
-    radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
-    rng = np.random.default_rng(cfg.seed)
-    probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
+    def starts(phi, radius, rng):
+        z_pure = np.tile(np.clip(pure_strat.as_flat(tree) - phi, -radius, radius), n_atoms)
+        jitter = z_pure + rng.uniform(-radius / 8, radius / 8, z_pure.size)
+        randoms = [rng.uniform(-radius, radius, z_pure.size) for _ in range(cfg.multistart)]
+        return [z_pure, np.clip(jitter, -radius, radius)] + randoms
 
-    def value_of(outs: np.ndarray) -> float:
-        return _finite(float(cpt_value_from_outcomes(outs, probs, pref).v))
-
-    z_pure = np.clip(pure_strat.as_flat(tree) - phi, -radius, radius)
-    starts = [np.tile(z_pure, n_atoms)]
-    jitter = np.tile(z_pure, n_atoms) + rng.uniform(-radius / 8, radius / 8, m * n_atoms)
-    starts.append(np.clip(jitter, -radius, radius))
-    while len(starts) < 2 + cfg.multistart:
-        starts.append(rng.uniform(-radius, radius, m * n_atoms))
-
-    lo = np.full(m * n_atoms, -radius)
-    hi = np.full(m * n_atoms, radius)
-    best_z, best_v = None, -np.inf
-    for z0 in starts:
-        outs0 = engine.outcomes(np.tile(phi, n_atoms) + z0, x0)
-        z, _, v = _compass(value_of, engine.shift, z0, outs0, lo, hi, cfg.shrink, cfg.tol)
-        if v > best_v:
-            best_z, best_v = z, v
-
-    atoms = [PureStrategy.from_flat(tree, phi + best_z[b * m : (b + 1) * m]) for b in range(n_atoms)]
+    atoms = _search_tree(tree, pref, x0, ref, cfg, starts, n_atoms, 0)
     strategy = RandomizedStrategy.equal_weights(atoms)
     value = cpt_value(tree, strategy, x0, ref, pref)
     if pure_val.v is not None and value.v < pure_val.v - 1e-9:
@@ -303,19 +310,10 @@ def ladder(
     prev: np.ndarray | None = None
     for k in range(n_max + 1):
         m = 2**k
-        lo = np.zeros(m)
-        hi = np.full(m, radius)
-        starts = []
-        if prev is not None:
-            starts.append(np.repeat(prev, 2))
-        starts.append(np.full(m, 0.25))
+        starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
         while len(starts) < 1 + cfg.multistart:
             starts.append(rng.uniform(0.0, 1.0, m))
-        best_z, best_v = None, -np.inf
-        for z0 in starts:
-            z, _, v = _compass(value_of, shift, z0, z0.copy(), lo, hi, cfg.shrink, cfg.tol)
-            if v > best_v:
-                best_z, best_v = z, v
+        best_z, best_v = _multistart(value_of, shift, np.copy, starts, 0.0, radius, cfg.tol)
         prev = np.sort(best_z)
         values.append(best_v)
         argmaxes.append(tuple(float(b) for b in prev))

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import ValidationError
 from .tree import PROB_TOL
@@ -26,6 +25,9 @@ _MANTISSA_BUDGET = 52
 
 # Asymptotic Kolmogorov critical value at significance 0.01, scaled by 1/sqrt(n).
 KS_CRITICAL_001 = 1.63
+# Chi-square critical value at significance 0.01 with (4 - 1)^2 = 9 degrees of
+# freedom, the double that scipy.stats.chi2.ppf(0.99, 9) returns.
+CHI2_CRITICAL_001_DF9 = 21.665994333461924
 
 
 def _binary_digits(u: float, count: int) -> list[int]:
@@ -253,7 +255,10 @@ def ks_uniform_pass(samples: Sequence[float], significance: float = 0.01) -> tup
 def chi2_independence_pass(
     a: Sequence[float], b: Sequence[float], bins: int = 4, significance: float = 0.01
 ) -> tuple[bool, float, float]:
-    """Pearson chi-square independence test on a quantile-binned contingency grid."""
+    """Pearson chi-square independence test on a 4 x 4 quantile-binned
+    contingency grid at significance 0.01."""
+    if bins != 4 or significance != 0.01:
+        raise ValidationError("only the documented 4 bins at significance 0.01 are supported")
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.size != y.size or x.size == 0:
@@ -269,7 +274,7 @@ def chi2_independence_pass(
     if np.any(expected == 0.0):
         raise ValidationError("degenerate binning: empty expected cell")
     stat = float(np.sum((table - expected) ** 2 / expected))
-    crit = float(chi2.ppf(1.0 - significance, (bins - 1) ** 2))
+    crit = CHI2_CRITICAL_001_DF9
     return stat < crit, stat, crit
 
 

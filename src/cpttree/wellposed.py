@@ -207,7 +207,10 @@ def boundedness_probe(
     improvement below tolerance over the last three radius doublings). The
     probe refuses gate-violating preferences unless explicitly overridden
     for pathology demonstrations. Each radius is warm-started from the
-    previous argmax, so the sequence is nondecreasing.
+    previous argmax, so the sequence is nondecreasing up to re-evaluation
+    rounding: each point re-evaluates a strategy rebuilt as
+    ``subhedge + (theta - subhedge)``, which can sit an ulp below the
+    previous point.
     """
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")

@@ -4,6 +4,7 @@ import pytest
 
 from cpttree import build_iid_market, emit_market
 from cpttree.cli import _dumps, main
+from cpttree.randtools import SELF_TEST_SEED
 
 TK_PREF = (
     "alpha_plus=0.88\nalpha_minus=0.88\nk_minus=2.25\n"
@@ -217,6 +218,47 @@ class TestManifest:
         assert "value.json" in manifest["outputs"]
         assert len(manifest["outputs"]["value.json"]) == 64
         assert manifest["parameters"]["theta"] == 0.25
+
+    @pytest.mark.parametrize(
+        "argv,subcommand,parameters",
+        [
+            (["value", "--market", "MKT", "--theta", "0.25", "--set", "k_minus=2"], "value",
+             {"market": "MKT", "pref": "PREF", "set": ["k_minus=2"], "theta": 0.25,
+              "strategy": None, "x0": 0.0, "benchmark": 0.0}),
+            (["optimize", "--market", "MKT", "--multistart", "1", "--box", "1", "--seed", "3"],
+             "optimize",
+             {"market": "MKT", "pref": "PREF", "set": [], "x0": 0.0, "benchmark": 0.0,
+              "seed": 3, "box": 1.0, "multistart": 1, "atoms": 1}),
+            (["randomization-ladder", "--n", "0", "--multistart", "1"], "randomization-ladder",
+             {"n": 0, "seed": 0, "multistart": 1, "box": None}),
+            (TestIllposedDemo.ARGS, "illposed-demo",
+             {"alpha_plus": 0.9, "gamma_plus": 0.5, "alpha_minus": 1.0, "gamma_minus": 1.0,
+              "k_minus": 1.0, "ell": 1.5, "scan": "10,1000,1000000"}),
+            (["check-wellposed"], "check-wellposed", {"pref": "PREF", "set": []}),
+            (["marche-check", "--market", "MKT", "--validate-kappa", "1", "--validate-pi", "0.5"],
+             "marche-check",
+             {"market": "MKT", "pi": "0.25", "direction_samples": 128,
+              "validate_kappa": "1", "validate_pi": "0.5"}),
+            (["toolkit", "self-test"], "toolkit self-test", {"seed": SELF_TEST_SEED}),
+        ],
+    )
+    def test_subcommand_and_parameters_frozen(
+        self, tmp_path, coin_market_file, argv, subcommand, parameters
+    ):
+        pref = tmp_path / "coin.cfg"
+        pref.write_text(COIN_PREF)
+        paths = {"MKT": str(coin_market_file), "PREF": str(pref)}
+        argv = [paths.get(a, a) for a in argv]
+        if subcommand in ("value", "optimize", "check-wellposed"):
+            argv += ["--pref", str(pref)]
+        out = tmp_path / "out"
+        main(argv + ["--out", str(out)])
+        manifest = read_json(out / "manifest.json")
+        assert manifest["subcommand"] == subcommand
+        assert manifest["parameters"] == {
+            k: paths.get(v, v) if isinstance(v, str) else v for k, v in parameters.items()
+        }
+        assert manifest["seed"] == parameters.get("seed")
 
     def test_unknown_flag_exits_2(self, coin_market_file):
         with pytest.raises(SystemExit) as exc:

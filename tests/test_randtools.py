@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cpttree
 from cpttree import (
     FiniteJoint,
     ValidationError,
@@ -58,6 +63,22 @@ class TestSplitUniform:
         parts = np.array([split_uniform(float(v), 2, 26) for v in u])
         ok, stat, crit = chi2_independence_pass(parts[:, 0], parts[:, 1])
         assert ok, (stat, crit)
+
+    @pytest.mark.parametrize("kwargs", [{"bins": 5}, {"significance": 0.05}])
+    def test_chi_square_refuses_undocumented_settings(self, kwargs):
+        u = np.random.default_rng(98).random(400)
+        with pytest.raises(ValidationError, match="documented"):
+            chi2_independence_pass(u, u[::-1], **kwargs)
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, cpttree; print('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cpttree.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestTransport:

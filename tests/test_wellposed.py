@@ -206,6 +206,8 @@ class TestBoundednessProbe:
                 tree, pref, x0, ref, [0.5, 1, 2, 4, 8, 16], SearchConfig(seed=seed, multistart=3)
             )
             assert res.plateau, res.points
+            vals = [v for _, v in res.points]
+            assert all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])), vals
 
     def test_gate_violating_discretized_market_grows(self):
         tree = two_step_uniform_market(21)
