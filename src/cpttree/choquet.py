@@ -71,6 +71,73 @@ def _choquet_arrays(values: np.ndarray, probs: np.ndarray, w: Callable) -> float
     return float(np.sum((distinct - prev) * np.asarray(w(survival), dtype=float)))
 
 
+def _choquet_rows(values: np.ndarray, probs: np.ndarray, *ws: Callable) -> np.ndarray:
+    """``_choquet_arrays(values[k], probs, w)`` for every row k of a (K, L) block,
+    bitwise equal to it. With several distortions the rows fall into as many
+    equal consecutive blocks, block i distorted by ``ws[i]``, so the gain and
+    loss sides of one outcome block share one call.
+
+    Every step repeats the scalar kernel's arithmetic in its order. Each row
+    is put in the lexsort's order (by value, ties by probability, then by
+    position): with equal probabilities a plain sort of the values is that
+    order; otherwise the columns go in probability order, each row is sorted
+    by value and runs of equal values are re-sorted by column. One flat
+    ``reduceat`` merges the tie masses, suffix sums are sequential
+    cumulative sums of each reversed row, the distortion and the products
+    are elementwise. numpy sums pairwise: a row of fewer than eight terms is
+    a left fold, which zero padding keeps, so those rows are summed as one
+    padded block; longer rows are summed one by one.
+    """
+    n_rows, n_cols = values.shape
+    if n_cols == 0:
+        return np.zeros(n_rows)
+    if (values < 0.0).any():
+        raise ValidationError("choquet_nonneg requires nonnegative atom values")
+    equal_probs = (probs == probs[0]).all()
+    if equal_probs:
+        v = np.sort(values, axis=1)
+    else:
+        by_prob = probs.argsort(kind="stable")
+        v = values[:, by_prob]
+        order = v.argsort(axis=1)
+        row_ix = np.arange(n_rows)[:, None]
+        v = v[row_ix, order]
+    new = np.empty(v.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
+    starts = new.ravel().nonzero()[0]
+    distinct = v.ravel()[starts]
+    if equal_probs:
+        p = np.broadcast_to(probs[0], (v.size,))
+    else:
+        if starts.size < v.size:
+            order = order[row_ix, (new.cumsum(axis=1) * n_cols + order).argsort(axis=1)]
+        p = probs[by_prob[order]].ravel()
+    mass = np.add.reduceat(p, starts)
+    counts = new.sum(axis=1)
+    first = counts.cumsum() - counts
+    # rows as the leading cells of a zero-padded block, in row-major order
+    cells = np.arange(counts.max()) < counts[:, None]
+    back = cells[::-1]
+    padded = np.zeros(cells.shape)
+    padded[back] = mass[::-1]
+    survival = np.minimum(padded.cumsum(axis=1)[back][::-1], 1.0)
+    cuts = [0, *first[n_rows // len(ws) * np.arange(1, len(ws))].tolist(), survival.size]
+    weights = np.concatenate(
+        [np.asarray(w(survival[a:b]), dtype=float) for w, a, b in zip(ws, cuts, cuts[1:])]
+    )
+    prev = np.empty_like(distinct)
+    prev[1:] = distinct[:-1]
+    prev[first] = 0.0
+    terms = (distinct - prev) * weights
+    padded = np.zeros(cells.shape)
+    padded[cells] = terms
+    out = padded[:, :7].sum(axis=1)
+    for r in np.flatnonzero(counts >= 8):
+        out[r] = terms[first[r] : first[r] + counts[r]].sum()
+    return out
+
+
 def choquet_nonneg(rv: DiscreteRV, w: Callable) -> float:
     """Exact distorted survival integral of a nonnegative finite law."""
     if abs(float(w(0.0))) > 1e-12:
@@ -115,7 +182,8 @@ class OutcomeEngine:
     depth t touches only the leaves below that node, a contiguous range of
     ``leaf_ids``, and moves each by the increment on its path at step t+1.
     ``matrix[t, c, r]`` holds that increment component c for leaf row r, so
-    the engine stores leaves * T * d floats, and ``shift`` adds one slice.
+    the engine stores leaves * T * d floats, and ``shift`` adds one slice per
+    move.
     """
 
     def __init__(self, tree: ScenarioTree, ref: ReferenceSpec | None = None):
@@ -149,15 +217,17 @@ class OutcomeEngine:
             [leaf_wealth(self.tree, theta, x0) - self.benchmark for theta in per_atom]
         )
 
-    def shift(self, outs: np.ndarray, j: int, delta: float) -> np.ndarray:
-        """Copy of ``outs`` with variable j moved by delta; j counts on across
-        stacked atoms as in ``outcomes``."""
-        block, j = divmod(j, self.n_vars)
-        lo, hi, column = self._segments[j]
-        off = block * len(self.leaf_prob)
-        new = outs.copy()
-        new[off + lo : off + hi] += delta * column
-        return new
+    def shift(self, outs: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Copies of ``outs``, row k with variable js[k] moved by deltas[k]; a
+        variable counts on across stacked atoms as in ``outcomes``."""
+        rows = np.repeat(outs[None], len(js), axis=0)
+        n_leaf = len(self.leaf_prob)
+        for row, j, delta in zip(rows, js, deltas):
+            block, j = divmod(int(j), self.n_vars)
+            lo, hi, column = self._segments[j]
+            off = block * n_leaf
+            row[off + lo : off + hi] += delta * column
+        return rows
 
 
 def _atoms(strategy: Strategy) -> tuple[tuple[float, PureStrategy], ...]:
@@ -182,6 +252,17 @@ def cpt_value_from_outcomes(
     v_plus = _choquet_arrays(gains, probs, pref.distortion.plus)
     v_minus = _choquet_arrays(losses, probs, pref.distortion.minus)
     return CPTValue.from_parts(v_plus, v_minus)
+
+
+def _cpt_rows(outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec) -> np.ndarray:
+    """CPT value of every row of a (K, L) outcome block, each row bitwise equal
+    to ``cpt_value_from_outcomes(row, probs, pref).v``."""
+    gains = np.asarray(pref.utility.u_plus(np.maximum(outcomes, 0.0)), dtype=float)
+    losses = np.asarray(pref.utility.u_minus(np.maximum(-outcomes, 0.0)), dtype=float)
+    both = _choquet_rows(
+        np.concatenate((gains, losses)), probs, pref.distortion.plus, pref.distortion.minus
+    )
+    return both[: len(outcomes)] - both[len(outcomes) :]
 
 
 def cpt_value(

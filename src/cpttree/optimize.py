@@ -19,6 +19,8 @@ from .choquet import (
     CPTValue,
     OutcomeEngine,
     _choquet_arrays,
+    _choquet_rows,
+    _cpt_rows,
     cpt_value,
     cpt_value_from_outcomes,
 )
@@ -52,11 +54,14 @@ def default_box_radius(x0: float) -> float:
 
 _EVAL_BUDGET = 2_000_000
 _SHRINK = 0.5
+# outcome floats in one block of speculative polls, which bounds the kernel's
+# temporaries on large trees
+_BLOCK_FLOATS = 1 << 15
 
 
 def _compass(
-    value_of: Callable[[np.ndarray], float],
-    shift: Callable[[np.ndarray, int, float], np.ndarray],
+    values_of: Callable[[np.ndarray], np.ndarray],
+    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     z0: np.ndarray,
     state0: np.ndarray,
     lo: float,
@@ -66,41 +71,63 @@ def _compass(
     """Coordinate poll in [lo, hi]^m with opportunistic acceptance and step shrinking.
 
     ``state`` is whatever cached transform of z the objective consumes;
-    ``shift`` updates it when coordinate j moves by delta. The full step
-    schedule is restarted from the incumbent until a whole cycle brings no
-    improvement, which guards against unlucky step phasing near kinks.
+    ``shift(state, js, deltas)`` returns one row per move, row k being the
+    state with coordinate js[k] moved by deltas[k], and ``values_of`` maps
+    such a block to one objective value per row. The full step schedule is
+    restarted from the incumbent until a whole cycle brings no improvement,
+    which guards against unlucky step phasing near kinks.
+
+    The poll is speculative: the moves the sequential poll would try next if
+    none improved are evaluated as one block, and the first improver in poll
+    order is accepted, so the trajectory is that of the one-move-at-a-time
+    poll. Only the moves that poll would have evaluated count against the
+    budget. The block spans one coordinate at first, doubles after a block
+    without an improver and halves after an acceptance; it never crosses the
+    end of a cycle.
     """
     z = z0.copy()
     state = state0
-    best = value_of(state)
+    best = _finite(float(values_of(state0[None])[0]))
     m = z.size
     step0 = (hi - lo) / 4.0
+    limit = max(2, _BLOCK_FLOATS // state.size)
     evals = 0
+    width = 1
     for _ in range(50):
         cycle_start = best
-        step = step0
+        step, j, fails = step0, 0, 0
         while step > tol and evals < _EVAL_BUDGET:
-            fails = 0
-            j = 0
-            while fails < m and evals < _EVAL_BUDGET:
-                improved = False
+            # the moves of the next ``width`` coordinates, if none improves
+            moves = []
+            s, jj, f, e = step, j, fails, evals
+            for _ in range(width):
+                if not (s > tol and e < _EVAL_BUDGET) or len(moves) >= limit:
+                    break
                 for sgn in (1.0, -1.0):
-                    nc = min(hi, max(lo, z[j] + sgn * step))
-                    delta = nc - z[j]
-                    if delta == 0.0:
-                        continue
-                    cand = shift(state, j, delta)
-                    v = value_of(cand)
-                    evals += 1
-                    if v > best:
-                        z[j] = nc
-                        state = cand
-                        best = v
-                        improved = True
-                        break
-                fails = 0 if improved else fails + 1
-                j = (j + 1) % m
-            step *= _SHRINK
+                    nc = min(hi, max(lo, z[jj] + sgn * s))
+                    if nc != z[jj]:
+                        moves.append((s, jj, nc))
+                        e += 1
+                f, jj = f + 1, (jj + 1) % m
+                if f == m:
+                    s, jj, f = s * _SHRINK, 0, 0
+            if moves:
+                js = np.array([mv[1] for mv in moves])
+                block = shift(state, js, np.array([mv[2] for mv in moves]) - z[js])
+                vals = values_of(block)
+                hit = np.flatnonzero(~np.isfinite(vals) | (vals > best))
+            if not moves or hit.size == 0:
+                step, j, fails, evals = s, jj, f, e
+                width = min(2 * width, limit)
+                continue
+            i = int(hit[0])
+            best = _finite(float(vals[i]))
+            step, jj, nc = moves[i]
+            z[jj] = nc
+            state = block[i]
+            evals += i + 1
+            j, fails = (jj + 1) % m, 0
+            width = max(1, width // 2)
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
     return z, best
@@ -112,9 +139,23 @@ def _finite(v: float) -> float:
     return v
 
 
+def _one_row_scalar(
+    value_of: Callable[[np.ndarray], float], rows_of: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Block objective that sends a one-row block to the scalar kernel, which
+    costs less than the row kernel there."""
+
+    def values_of(block: np.ndarray) -> np.ndarray:
+        if len(block) == 1:
+            return np.array([value_of(block[0])])
+        return rows_of(block)
+
+    return values_of
+
+
 def _multistart(
-    value_of: Callable[[np.ndarray], float],
-    shift: Callable[[np.ndarray, int, float], np.ndarray],
+    values_of: Callable[[np.ndarray], np.ndarray],
+    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     state_of: Callable[[np.ndarray], np.ndarray],
     starts: Sequence[np.ndarray],
     lo: float,
@@ -124,7 +165,7 @@ def _multistart(
     """Compass search from each start in turn; the first best result wins."""
     best_z, best_v = None, -np.inf
     for z0 in starts:
-        z, v = _compass(value_of, shift, z0, state_of(z0), lo, hi, tol)
+        z, v = _compass(values_of, shift, z0, state_of(z0), lo, hi, tol)
         if v > best_v:
             best_z, best_v = z, v
     return best_z, best_v
@@ -138,24 +179,26 @@ def _search_tree(
     cfg: SearchConfig,
     starts: Callable[[np.ndarray, float, np.random.Generator], list[np.ndarray]],
     n_atoms: int,
+    radius: float,
     max_doublings: int,
-) -> list[PureStrategy]:
+) -> tuple[list[PureStrategy], float]:
     """Best equal-weight mixture of ``n_atoms`` pure strategies in the box
     ||theta - subhedge||_inf <= radius per node and atom, searched as offsets
-    from the sub-hedge. ``starts(phi, radius, rng)`` gives the start offsets;
-    the box doubles up to ``max_doublings`` times while the winner touches it."""
+    from the sub-hedge, and the radius of the box it ended in.
+    ``starts(phi, radius, rng)`` gives the start offsets; the box doubles up
+    to ``max_doublings`` times while the winner touches it."""
     engine = OutcomeEngine(tree, ref)
     phi = ref.subhedge.as_flat(tree)
-    radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
     stacked_phi = np.tile(phi, n_atoms)
     probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
-
-    def value_of(outs: np.ndarray) -> float:
-        return _finite(float(cpt_value_from_outcomes(outs, probs, pref).v))
+    values_of = _one_row_scalar(
+        lambda outs: float(cpt_value_from_outcomes(outs, probs, pref).v),
+        lambda block: _cpt_rows(block, probs, pref),
+    )
 
     def search(z0s: Sequence[np.ndarray]) -> np.ndarray:
         return _multistart(
-            value_of, engine.shift, lambda z: engine.outcomes(stacked_phi + z, x0),
+            values_of, engine.shift, lambda z: engine.outcomes(stacked_phi + z, x0),
             z0s, -radius, radius, cfg.tol,
         )[0]
 
@@ -166,7 +209,35 @@ def _search_tree(
         radius *= 2.0
         best_z = search([best_z])
     atoms = (stacked_phi + best_z).reshape(n_atoms, -1)
-    return [PureStrategy.from_flat(tree, theta) for theta in atoms]
+    return [PureStrategy.from_flat(tree, theta) for theta in atoms], radius
+
+
+def _pure_search(
+    tree: ScenarioTree,
+    pref: PreferenceSpec,
+    x0: float,
+    ref: ReferenceSpec,
+    cfg: SearchConfig,
+    extra_starts: Sequence[PureStrategy] = (),
+) -> tuple[PureStrategy, float]:
+    """The pure search of ``optimize_pure`` and the box radius it ended in."""
+    if not pref.condition_a:
+        warnings.warn("preferences fail the decisive well-posedness gate; the "
+                      "objective may be effectively unbounded", stacklevel=3)
+
+    def starts(phi, radius, rng):
+        fixed = [np.zeros(phi.size), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
+        unique: list[np.ndarray] = []
+        for z0 in (np.clip(z, -radius, radius) for z in fixed):
+            if not any(np.array_equal(z0, s) for s in unique):
+                unique.append(z0)
+        return unique + [rng.uniform(-radius, radius, phi.size) for _ in range(cfg.multistart)]
+
+    radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
+    (strategy,), radius = _search_tree(
+        tree, pref, x0, ref, cfg, starts, 1, radius, cfg.max_box_doublings
+    )
+    return strategy, radius
 
 
 def optimize_pure(
@@ -179,20 +250,7 @@ def optimize_pure(
 ) -> tuple[PureStrategy, CPTValue]:
     """Best pure strategy found by seeded multistart compass search in the box
     ||theta - subhedge||_inf <= radius per node, with boundary-hit doubling."""
-    cfg = cfg or SearchConfig()
-    if not pref.condition_a:
-        warnings.warn("preferences fail the decisive well-posedness gate; the "
-                      "objective may be effectively unbounded", stacklevel=2)
-
-    def starts(phi, radius, rng):
-        fixed = [np.zeros(phi.size), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
-        unique: list[np.ndarray] = []
-        for z0 in (np.clip(z, -radius, radius) for z in fixed):
-            if not any(np.array_equal(z0, s) for s in unique):
-                unique.append(z0)
-        return unique + [rng.uniform(-radius, radius, phi.size) for _ in range(cfg.multistart)]
-
-    (strategy,) = _search_tree(tree, pref, x0, ref, cfg, starts, 1, cfg.max_box_doublings)
+    strategy, _ = _pure_search(tree, pref, x0, ref, cfg or SearchConfig(), extra_starts)
     return strategy, cpt_value(tree, strategy, x0, ref, pref)
 
 
@@ -206,13 +264,15 @@ def optimize_randomized(
 ) -> tuple[RandomizedStrategy, CPTValue]:
     """Joint search over an equal-weight mixture of pure strategies.
 
-    One multistart atom-block is seeded at the pure optimum, so the value
-    can only improve on the pure search.
+    One multistart atom-block is seeded at the pure optimum, and the mixture
+    is searched in the box the pure search ended in, so the value can only
+    improve on the pure search.
     """
     if n_atoms < 1:
         raise ValidationError("n_atoms must be >= 1")
     cfg = cfg or SearchConfig()
-    pure_strat, pure_val = optimize_pure(tree, pref, x0, ref, cfg)
+    pure_strat, radius = _pure_search(tree, pref, x0, ref, cfg)
+    pure_val = cpt_value(tree, pure_strat, x0, ref, pref)
     if n_atoms == 1:
         return RandomizedStrategy.equal_weights([pure_strat]), pure_val
 
@@ -222,7 +282,7 @@ def optimize_randomized(
         randoms = [rng.uniform(-radius, radius, z_pure.size) for _ in range(cfg.multistart)]
         return [z_pure, np.clip(jitter, -radius, radius)] + randoms
 
-    atoms = _search_tree(tree, pref, x0, ref, cfg, starts, n_atoms, 0)
+    atoms, _ = _search_tree(tree, pref, x0, ref, cfg, starts, n_atoms, radius, 0)
     strategy = RandomizedStrategy.equal_weights(atoms)
     value = cpt_value(tree, strategy, x0, ref, pref)
     if pure_val.v is not None and value.v < pure_val.v - 1e-9:
@@ -264,6 +324,20 @@ def coin_cpt_value(
     return CPTValue.from_parts(v_plus, v_minus)
 
 
+def _coin_cpt_rows(theta_rows: np.ndarray, w_plus: Distortion | Callable) -> np.ndarray:
+    """``coin_cpt_value(row, w_plus=w_plus).v`` for every row of a (K, m) block
+    of equally weighted positions, bitwise equal to it."""
+    vals = np.abs(theta_rows)
+    n_rows, m = vals.shape
+    w = np.full(m, 1.0 / m)
+    gains = np.zeros((n_rows, m + 1))
+    gains[:, :m] = vals**0.25
+    gprobs = np.concatenate((w / 2.0, [0.5]))
+    # row by row: a matrix-vector product sums in another order than w @ row
+    v_minus = np.array([0.5 * float(w @ row) for row in vals])
+    return _choquet_rows(gains, gprobs, w_plus) - v_minus
+
+
 @dataclass(frozen=True)
 class LadderResult:
     """Best values and argmax |theta| atom lists, one level per external coin."""
@@ -297,13 +371,15 @@ def ladder(
     radius = cfg.box_radius if cfg.box_radius is not None else 8.0
     rng = np.random.default_rng(cfg.seed)
 
-    def value_of(vals: np.ndarray) -> float:
-        return _finite(float(coin_cpt_value(vals, w_plus=w_plus).v))
+    values_of = _one_row_scalar(
+        lambda vals: float(coin_cpt_value(vals, w_plus=w_plus).v),
+        lambda block: _coin_cpt_rows(block, w_plus),
+    )
 
-    def shift(vals: np.ndarray, j: int, delta: float) -> np.ndarray:
-        new = vals.copy()
-        new[j] += delta
-        return new
+    def shift(vals: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        rows = np.repeat(vals[None], len(js), axis=0)
+        rows[np.arange(len(js)), js] += deltas
+        return rows
 
     values: list[float] = []
     argmaxes: list[tuple[float, ...]] = []
@@ -313,7 +389,7 @@ def ladder(
         starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
         while len(starts) < 1 + cfg.multistart:
             starts.append(rng.uniform(0.0, 1.0, m))
-        best_z, best_v = _multistart(value_of, shift, np.copy, starts, 0.0, radius, cfg.tol)
+        best_z, best_v = _multistart(values_of, shift, np.copy, starts, 0.0, radius, cfg.tol)
         prev = np.sort(best_z)
         values.append(best_v)
         argmaxes.append(tuple(float(b) for b in prev))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pure, random_ref, random_tree, random_valid_pref
 from cpttree import (
@@ -23,7 +25,9 @@ from cpttree import (
     tail_power_integral,
     terminal_wealth,
 )
+from cpttree.choquet import _choquet_arrays, _choquet_rows, _cpt_rows, cpt_value_from_outcomes
 from cpttree.extreal import ext_sub
+from cpttree.optimize import _coin_cpt_rows, coin_cpt_value
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
 
 SQRT_HALF = 0.7071067811865476
@@ -122,6 +126,113 @@ class TestChoquetNonneg:
             survival = np.where(idx < len(sv), np.concatenate((sp, [0.0]))[idx], 0.0)
             riemann = float(np.sqrt(survival).sum() * (top / 1_000_000))
             assert abs(riemann - choquet_nonneg(rv, np.sqrt)) < 1e-5
+
+
+DISTORTIONS = {
+    "identity": Distortion.identity(),
+    "power": Distortion.power(0.61),
+    "tk": Distortion.tk(0.69),
+    "custom": Distortion.custom(lambda p: np.sin(0.5 * np.pi * np.asarray(p)), 1.0),
+}
+
+# seed, atoms per law, distortion family, tie pattern
+LAWS = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 512),
+    st.sampled_from(sorted(DISTORTIONS)),
+    st.sampled_from(["distinct", "rounded", "few values", "zeros"]),
+)
+
+
+def law_block(seed, n, ties, rows):
+    """``rows`` nonnegative laws on n atoms with the tie pattern asked for,
+    and n probabilities, equal about a third of the time."""
+    rng = np.random.default_rng(seed)
+    values = tied_values(rng, n, ties, rows)
+    if rng.random() < 0.3:
+        probs = np.full(n, 1.0 / n)
+    else:
+        probs = rng.uniform(0.1, 1.0, n)
+        if rng.random() < 0.5:
+            probs = np.round(probs, 1)
+        probs /= probs.sum()
+    return values, probs
+
+
+def dyadic_law_block(seed, n, ties, rows):
+    """As ``law_block``, with weights k / 2^15 of total below 1, so that every
+    survival sum is exact. Rounded survivals near 1 would otherwise move an
+    inverse-S weight, whose slope at 1 is infinite, by far more than an ulp."""
+    rng = np.random.default_rng(seed)
+    return tied_values(rng, n, ties, rows), rng.integers(1, 64, n) / 2.0**15
+
+
+def tied_values(rng, n, ties, rows):
+    values = rng.uniform(0.0, 3.0, (rows, n))
+    if ties == "rounded":
+        values = np.round(values, 1)
+    elif ties == "few values":
+        values = rng.choice(rng.uniform(0.0, 3.0, 3), (rows, n))
+    elif ties == "zeros":
+        values[rng.random((rows, n)) < 0.5] = 0.0
+    return values
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(LAWS)
+    def test_row_kernel_matches_the_scalar_kernel_bitwise(self, case):
+        seed, n, family, ties = case
+        values, probs = law_block(seed, n, ties, rows=6)
+        w = DISTORTIONS[family]
+        expected = [_choquet_arrays(row, probs, w) for row in values]
+        assert bits(_choquet_rows(values, probs, w)) == bits(expected)
+        # two distortions: the first half of the rows takes the first one
+        other = DISTORTIONS["tk"]
+        expected[3:] = [_choquet_arrays(row, probs, other) for row in values[3:]]
+        assert bits(_choquet_rows(values, probs, w, other)) == bits(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    def test_row_objectives_match_the_scalar_values_bitwise(self, seed, n):
+        rng = np.random.default_rng(seed)
+        pref = random_valid_pref(rng)
+        outcomes = rng.uniform(-2.0, 2.0, (5, n))
+        outcomes[:, : n // 3] = np.round(outcomes[:, : n // 3], 1)
+        probs = rng.uniform(0.1, 1.0, n)
+        probs /= probs.sum()
+        expected = [cpt_value_from_outcomes(row, probs, pref).v for row in outcomes]
+        assert bits(_cpt_rows(outcomes, probs, pref)) == bits(expected)
+        thetas = rng.uniform(-1.0, 1.0, (5, n))
+        expected = [coin_cpt_value(row).v for row in thetas]
+        assert bits(_coin_cpt_rows(thetas, Distortion.power(0.5))) == bits(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(LAWS)
+    def test_monotone_in_the_outcome(self, case):
+        seed, n, family, ties = case
+        (x, bump), probs = dyadic_law_block(seed, n, ties, rows=2)
+        w = DISTORTIONS[family]
+        y = x + bump * (bump > 1.5)  # y >= x atom by atom, equal on about half
+        low, high = _choquet_arrays(x, probs, w), _choquet_arrays(y, probs, w)
+        assert low <= high + 1e-12 * max(1.0, abs(high))
+
+    @settings(max_examples=60, deadline=None)
+    @given(LAWS)
+    def test_comonotonic_additivity(self, case):
+        seed, n, family, ties = case
+        (x, y), probs = dyadic_law_block(seed, n, ties, rows=2)
+        w = DISTORTIONS[family]
+        # sorting both by one atom order makes them comonotone
+        order = np.random.default_rng(seed).permutation(n)
+        x[order], y[order] = np.sort(x), np.sort(y)
+        total = _choquet_arrays(x + y, probs, w)
+        parts = _choquet_arrays(x, probs, w) + _choquet_arrays(y, probs, w)
+        assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 
 class TestCptValue:

@@ -180,6 +180,16 @@ class TestIllposedDemo:
         assert (out / "manifest.json").exists()
 
 
+class TestOptimize:
+    def test_mixture_after_box_doublings(self, tmp_path, coin_market_file):
+        out = tmp_path / "out"
+        args = ["optimize", "--market", str(coin_market_file), "--atoms", "2", "--box", "0.1"]
+        assert main(args + ["--out", str(out)]) == 0
+        payload = read_json(out / "optimize.json")
+        assert payload["n_atoms"] == 2
+        assert payload["value"]["v"] == pytest.approx(0.38953872227748554, abs=1e-6)
+
+
 class TestMarcheCheck:
     def test_certificate_and_validation(self, tmp_path, coin_market_file):
         out = tmp_path / "out"

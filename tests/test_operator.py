@@ -126,12 +126,15 @@ def test_engine_shift_matches_the_dense_column(case):
         theta = flat[b * engine.n_vars : (b + 1) * engine.n_vars].reshape(-1, d)
         wealth = reference_wealth(tree, theta, x0)
         assert outs[b * n_leaf : (b + 1) * n_leaf].tolist() == [wealth[i] for i in tree.leaf_ids]
-    for j in range(engine.n_vars * n_atoms):
-        b, local = divmod(j, engine.n_vars)
-        delta = float(rng.uniform(-1.0, 1.0))
+    js = np.arange(engine.n_vars * n_atoms)
+    deltas = rng.uniform(-1.0, 1.0, js.size)
+    rows = engine.shift(outs, js, deltas)
+    assert rows.shape == (js.size, outs.size)
+    for j, delta, row in zip(js, deltas, rows):
+        b, local = divmod(int(j), engine.n_vars)
         expected = outs.copy()
         expected[b * n_leaf : (b + 1) * n_leaf] += delta * dense_column(tree, local)
-        np.testing.assert_allclose(engine.shift(outs, j, delta), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
 
 def test_deep_coin_engine_is_small():

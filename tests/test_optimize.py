@@ -213,6 +213,17 @@ class TestOptimizeRandomized:
         _, rv = optimize_randomized(coin_tree, pref, 0.0, ref, n_atoms, cfg)
         assert rv.v >= pv.v - 1e-9
 
+    def test_mixture_searches_the_box_the_pure_search_ended_in(self, coin_tree):
+        # the pure optimum 0.25 lies outside the box 0.1, so the pure search doubles it
+        pref = coin_model_preferences()
+        ref = ReferenceSpec.zero(coin_tree)
+        cfg = SearchConfig(box_radius=0.1)
+        ps, pv = optimize_pure(coin_tree, pref, 0.0, ref, cfg)
+        assert ps.allocations[0][0] == pytest.approx(0.25, abs=1e-6)
+        rs, rv = optimize_randomized(coin_tree, pref, 0.0, ref, 2, cfg)
+        assert rv.v >= pv.v - 1e-9
+        assert rv.v == pytest.approx(M1, abs=1e-6)
+
     def test_identity_distortions_make_mixing_pointless(self):
         pref = PreferenceSpec(
             utility=UtilityPair.power(0.5, 1.0, k=1.5),
