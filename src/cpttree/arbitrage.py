@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CertificateError, ValidationError
 from .tree import PROB_TOL, ScenarioTree
@@ -59,6 +58,9 @@ def _one_step_arbitrage(incs: np.ndarray) -> np.ndarray | None:
     scale = float(np.abs(incs).sum())
     if scale == 0.0:
         return None
+    # scipy costs most of a cold start; only this multi-asset LP needs it.
+    from scipy.optimize import linprog
+
     res = linprog(
         c=-incs.sum(axis=0),
         A_ub=-incs,

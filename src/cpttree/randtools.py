@@ -11,6 +11,7 @@ conditioning variable.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,15 +31,29 @@ KS_CRITICAL_001 = 1.63
 CHI2_CRITICAL_001_DF9 = 21.665994333461924
 
 
-def _binary_digits(u: float, count: int) -> list[int]:
-    digits = []
-    frac = float(u)
-    for _ in range(count):
-        frac *= 2.0
-        bit = int(frac)
-        digits.append(bit)
-        frac -= bit
-    return digits
+def _digit(m, k: int):
+    """Binary digit k >= 1 of the u in [0, 1) whose first 52 digits are m.
+
+    m = floor(u * 2**52), a Python int or a uint64 array; digit k of u is
+    bit 52 - k of m.
+    """
+    return (m >> (_MANTISSA_BUDGET - k)) & 1
+
+
+def _deal(m, l: int, bits: int) -> list:
+    """Numerators of the round-robin deal: output i collects digits i + 1,
+    i + 1 + l, ... of m, ``bits`` of them, as an integer over 2**bits.
+
+    Every partial sum of the deal is a dyadic of at most 52 bits, so scaling
+    these integers by 2**-bits gives the float digit-by-digit sum exactly.
+    """
+    outs = []
+    for i in range(l):
+        v = 0
+        for r in range(bits):
+            v = (v << 1) | _digit(m, i + 1 + r * l)
+        outs.append(v)
+    return outs
 
 
 def split_uniform(u: float, l: int, bits: int) -> tuple[float, ...]:
@@ -54,14 +69,14 @@ def split_uniform(u: float, l: int, bits: int) -> tuple[float, ...]:
         raise ValidationError("need l >= 1 and bits >= 1")
     if bits * l > _MANTISSA_BUDGET:
         raise ValidationError(f"bits * l = {bits * l} exceeds the {_MANTISSA_BUDGET}-bit budget")
-    digits = _binary_digits(u, bits * l)
-    outs = []
-    for i in range(l):
-        val = 0.0
-        for r in range(bits):
-            val += digits[i + r * l] * 2.0 ** (-(r + 1))
-        outs.append(val)
-    return tuple(outs)
+    m = int(math.ldexp(u, _MANTISSA_BUDGET))
+    return tuple(math.ldexp(v, -bits) for v in _deal(m, l, bits))
+
+
+def _split_uniform_array(u: np.ndarray, l: int, bits: int) -> list[np.ndarray]:
+    """``split_uniform`` of every entry of u (doubles in [0, 1)), as l columns."""
+    m = np.ldexp(u, _MANTISSA_BUDGET).astype(np.uint64)
+    return [np.ldexp(v.astype(np.float64), -bits) for v in _deal(m, l, bits)]
 
 
 def split_bitstring(bits_str: str, l: int) -> tuple[str, ...]:
@@ -74,20 +89,23 @@ def split_bitstring(bits_str: str, l: int) -> tuple[str, ...]:
 
 
 def recombine_uniform(parts: Sequence[float], bits: int) -> float:
-    """Inverse deal: interleave the digit streams back into one uniform."""
+    """Inverse deal: interleave the digit streams back into one uniform.
+
+    Every part must lie in [0, 1), as u must for ``split_uniform``.
+    """
     l = len(parts)
     if l < 1 or bits < 1:
         raise ValidationError("need at least one part and bits >= 1")
     if bits * l > _MANTISSA_BUDGET:
         raise ValidationError(f"bits * l = {bits * l} exceeds the {_MANTISSA_BUDGET}-bit budget")
-    streams = [_binary_digits(p, bits) for p in parts]
-    val = 0.0
-    k = 0
-    for r in range(bits):
-        for i in range(l):
-            k += 1
-            val += streams[i][r] * 2.0 ** (-k)
-    return val
+    if not all(0.0 <= p < 1.0 for p in parts):
+        raise ValidationError("every part must lie in [0, 1)")
+    mants = [int(math.ldexp(p, _MANTISSA_BUDGET)) for p in parts]
+    m = 0
+    for r in range(1, bits + 1):
+        for p in mants:
+            m = (m << 1) | _digit(p, r)
+    return math.ldexp(m, -bits * l)
 
 
 @dataclass(frozen=True)
@@ -352,9 +370,8 @@ def toolkit_self_test(seed: int = SELF_TEST_SEED) -> dict:
     exact = split_uniform(0.5, 2, 8) == (0.5, 0.0) and split_uniform(0.75, 2, 8) == (0.5, 0.5)
     record("split_uniform_dyadic_exact", exact, 0.0 if exact else 1.0, 0.5)
 
-    u = rng.random(100_000)
-    parts = np.array([split_uniform(float(v), 2, 26) for v in u])
-    ok, stat, crit = chi2_independence_pass(parts[:, 0], parts[:, 1])
+    first, second = _split_uniform_array(rng.random(100_000), 2, 26)
+    ok, stat, crit = chi2_independence_pass(first, second)
     record("split_uniform_chi2_independence", ok, stat, crit)
 
     dyadic = [i / 64.0 for i in range(64)]

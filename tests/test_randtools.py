@@ -1,11 +1,16 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cpttree
+from cpttree import randtools
 from cpttree import (
     FiniteJoint,
     ValidationError,
@@ -22,6 +27,121 @@ from cpttree import (
     tv_distance,
     uniformize,
 )
+
+
+# Float digit-by-digit reference copies of split_uniform and recombine_uniform
+# (without their argument checks). The library builds the same values from
+# integer mantissas; the tests below hold it to these bytes.
+
+
+def ref_binary_digits(u, count):
+    digits = []
+    frac = float(u)
+    for _ in range(count):
+        frac *= 2.0
+        bit = int(frac)
+        digits.append(bit)
+        frac -= bit
+    return digits
+
+
+def ref_split_uniform(u, l, bits):
+    digits = ref_binary_digits(u, bits * l)
+    outs = []
+    for i in range(l):
+        val = 0.0
+        for r in range(bits):
+            val += digits[i + r * l] * 2.0 ** (-(r + 1))
+        outs.append(val)
+    return tuple(outs)
+
+
+def ref_recombine_uniform(parts, bits):
+    l = len(parts)
+    streams = [ref_binary_digits(p, bits) for p in parts]
+    val = 0.0
+    k = 0
+    for r in range(bits):
+        for i in range(l):
+            k += 1
+            val += streams[i][r] * 2.0 ** (-k)
+    return val
+
+
+def as_bytes(values):
+    return b"".join(struct.pack("<d", float(v)) for v in values)
+
+
+SPECIAL_UNIFORMS = [0.0, 0.5, 0.75, 1.0 - 2.0**-53, 2.0**-60, 0.1, 1.0 / 3.0, 5e-324]
+
+
+@st.composite
+def deal_shapes(draw):
+    l = draw(st.integers(1, 52))
+    return l, draw(st.integers(1, 52 // l))
+
+
+def dyadics(max_bits=52):
+    return st.integers(1, max_bits).flatmap(
+        lambda k: st.integers(0, 2**k - 1).map(lambda i: i / 2.0**k)
+    )
+
+
+uniforms = st.one_of(
+    st.sampled_from(SPECIAL_UNIFORMS),
+    dyadics(),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+
+
+def check_recombine(parts, bits):
+    got = recombine_uniform(parts, bits)
+    assert type(got) is float
+    assert as_bytes([got]) == as_bytes([ref_recombine_uniform(parts, bits)])
+
+
+class TestSplitUniformReference:
+    @settings(max_examples=300, deadline=None)
+    @given(deal_shapes(), uniforms)
+    @example((1, 52), 1.0 - 2.0**-53)
+    @example((52, 1), 1.0 - 2.0**-53)
+    def test_scalar_split_matches_reference(self, shape, u):
+        l, bits = shape
+        got = split_uniform(u, l, bits)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert as_bytes(got) == as_bytes(ref_split_uniform(u, l, bits))
+
+    @settings(max_examples=150, deadline=None)
+    @given(deal_shapes(), st.lists(uniforms, min_size=1, max_size=16))
+    @example((1, 52), [])
+    @example((52, 1), [])
+    def test_array_split_matches_reference(self, shape, us):
+        l, bits = shape
+        us = [*us, *SPECIAL_UNIFORMS]
+        cols = randtools._split_uniform_array(np.array(us), l, bits)
+        assert len(cols) == l
+        for j, u in enumerate(us):
+            row = [col[j] for col in cols]
+            assert as_bytes(row) == as_bytes(ref_split_uniform(u, l, bits))
+
+    @settings(max_examples=150, deadline=None)
+    @given(deal_shapes(), st.data())
+    def test_recombine_matches_reference(self, shape, data):
+        l, bits = shape
+        parts = data.draw(st.lists(uniforms, min_size=l, max_size=l))
+        check_recombine(parts, bits)
+
+    @pytest.mark.parametrize("l,bits", [(1, 52), (52, 1), (2, 26)])
+    def test_recombine_matches_reference_at_full_budget(self, l, bits):
+        check_recombine([1.0 - 2.0**-53] * l, bits)
+        check_recombine([1.0 / 3.0] * l, bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(deal_shapes(), st.data())
+    def test_round_trip_on_dyadics(self, shape, data):
+        l, bits = shape
+        u = data.draw(dyadics(bits * l))
+        assert as_bytes([recombine_uniform(split_uniform(u, l, bits), bits)]) == as_bytes([u])
 
 
 class TestSplitUniform:
@@ -49,6 +169,11 @@ class TestSplitUniform:
             u = i / 64.0
             assert recombine_uniform(split_uniform(u, l, bits), bits) == u
 
+    @pytest.mark.parametrize("parts", [[0.5, 1.0], [-0.25, 0.5], [float("nan")], [0.5, float("inf")]])
+    def test_recombine_rejects_parts_outside_unit_interval(self, parts):
+        with pytest.raises(ValidationError, match=r"\[0, 1\)"):
+            recombine_uniform(parts, 4)
+
     def test_bitstring_deal(self):
         assert split_bitstring("110100", 2) == ("100", "110")
         assert split_bitstring("abc".replace("a", "0").replace("b", "1").replace("c", "0"), 3) == (
@@ -70,15 +195,47 @@ class TestSplitUniform:
         with pytest.raises(ValidationError, match="documented"):
             chi2_independence_pass(u, u[::-1], **kwargs)
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, cpttree; print('scipy.stats' in sys.modules)"
+    @staticmethod
+    def run_fresh(code, *argv):
         src = os.path.dirname(os.path.dirname(cpttree.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, "-c", code, *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        # No scipy module at all: neither the import nor single-asset calls need it.
+        code = (
+            "import sys, pathlib\n"
+            "import cpttree.cli as cli\n"
+            "from cpttree import build_iid_market, emit_market\n"
+            "tmp = pathlib.Path(sys.argv[1])\n"
+            "mkt = tmp / 'coin.mkt'\n"
+            "mkt.write_text(emit_market(build_iid_market([(0.5, 1.0), (0.5, -1.0)], 2)))\n"
+            "assert cli.main(['value', '--market', str(mkt), '--theta', '0.25',\n"
+            "                 '--out', str(tmp / 'v')]) == 0\n"
+            "assert cli.main(['marche-check', '--market', str(mkt), '--validate-kappa', '1',\n"
+            "                 '--validate-pi', '0.25', '--out', str(tmp / 'm')]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        assert self.run_fresh(code, tmp_path) == "[]"
+
+    def test_two_asset_arbitrage_lp_runs_from_cold_start(self):
+        atoms = [(1 / 3, (1.0, 0.0)), (1 / 3, (-1.0, 0.0)), (1 / 3, (0.0, 1.0))]
+        code = (
+            "import json, sys\n"
+            "from cpttree import build_iid_market, check_NA\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            f"res = check_NA(build_iid_market({atoms!r}, 1))\n"
+            "print(json.dumps([res.ok, res.node, res.direction, 'scipy.optimize' in sys.modules]))\n"
+        )
+        ok, node, direction, loaded = json.loads(self.run_fresh(code))
+        assert not ok and node == 0 and loaded
+        dots = np.array([inc for _, inc in atoms]) @ np.array(direction)
+        assert np.all(dots >= -1e-9) and dots.max() > 1e-9
 
 
 class TestTransport:
