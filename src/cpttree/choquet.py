@@ -203,11 +203,13 @@ class OutcomeEngine:
             starts = np.flatnonzero(np.r_[True, below[1:] != below[:-1]])
             lo[below[starts]] = starts
             hi[below[starts]] = np.r_[starts[1:], n_leaf]
-        self._segments = [
-            (int(lo[n]), int(hi[n]), self.matrix[tree.depth[n], c, lo[n] : hi[n]])
-            for n in tree.nonterminal_ids
-            for c in range(tree.asset_dim)
-        ]
+        # per variable: its leaf count, and the flat positions where its
+        # increments start in ``matrix`` and its leaves start in an outcome row
+        nodes = np.repeat(np.asarray(tree.nonterminal_ids), tree.asset_dim)
+        comps = np.tile(np.arange(tree.asset_dim), len(tree.nonterminal_ids))
+        self._size = hi[nodes] - lo[nodes]
+        column = (np.asarray(tree.depth)[nodes] * tree.asset_dim + comps) * n_leaf + lo[nodes]
+        self._starts = np.stack([column, lo[nodes]])
 
     def outcomes(self, flat_theta: np.ndarray, x0: float) -> np.ndarray:
         """Outcomes of one flat allocation vector, or of several stacked end to
@@ -217,16 +219,21 @@ class OutcomeEngine:
             [leaf_wealth(self.tree, theta, x0) - self.benchmark for theta in per_atom]
         )
 
-    def shift(self, outs: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        """Copies of ``outs``, row k with variable js[k] moved by deltas[k]; a
-        variable counts on across stacked atoms as in ``outcomes``."""
-        rows = np.repeat(outs[None], len(js), axis=0)
-        n_leaf = len(self.leaf_prob)
-        for row, j, delta in zip(rows, js, deltas):
-            block, j = divmod(int(j), self.n_vars)
-            lo, hi, column = self._segments[j]
-            off = block * n_leaf
-            row[off + lo : off + hi] += delta * column
+    def shift(self, base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        """Copies of ``base``, one outcome vector or one row per move, row k
+        with variable js[k] moved by deltas[k]; a variable counts on across
+        stacked atoms as in ``outcomes``. All moves are one flat add."""
+        rows = np.empty((len(js), np.shape(base)[-1]))
+        rows[:] = base
+        atom, var = np.divmod(js, self.n_vars)
+        size = self._size[var]
+        # move k adds size[k] consecutive floats of the flat matrix to size[k]
+        # consecutive cells of the flat rows; with the runs laid end to end,
+        # entry i of either index is its run's offset plus i
+        offsets = self._starts[:, var] - (size.cumsum() - size)
+        offsets[1] += np.arange(len(js)) * rows.shape[1] + atom * len(self.leaf_prob)
+        src, dst = np.repeat(offsets, size, axis=1) + np.arange(size.sum())
+        rows.reshape(-1)[dst] += np.repeat(deltas, size) * self.matrix.reshape(-1)[src]
         return rows
 
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -72,7 +73,12 @@ def _sha256_bytes(data: bytes) -> str:
 
 
 class _Run:
-    """Collects artifacts and writes them with a manifest."""
+    """Collects artifacts and writes them with a manifest once the run succeeds.
+
+    Each file goes through a temporary file and a rename, the manifest last,
+    so a failed run leaves no artifact behind and a finished one no partial
+    file.
+    """
 
     def __init__(self, subcommand: str, out_dir: str, parameters: dict, fmt: str):
         self.subcommand = subcommand
@@ -81,6 +87,7 @@ class _Run:
         self.fmt = fmt
         self.inputs: dict[str, str] = {}
         self.outputs: dict[str, str] = {}
+        self.buffered: dict[str, bytes] = {}
         self.seed = parameters.get("seed")
 
     def read_input(self, path: str) -> str:
@@ -91,9 +98,8 @@ class _Run:
     def write(self, name: str, text: str) -> None:
         if self.fmt != "both" and not name.endswith(f".{self.fmt}"):
             return
-        self.out.mkdir(parents=True, exist_ok=True)
         data = text.encode("utf-8")
-        (self.out / name).write_bytes(data)
+        self.buffered[name] = data
         self.outputs[name] = _sha256_bytes(data)
 
     def write_json(self, name: str, obj) -> None:
@@ -108,8 +114,15 @@ class _Run:
             "outputs": self.outputs,
             "version": __version__,
         }
+        self.buffered["manifest.json"] = (_dumps(manifest) + "\n").encode("utf-8")
         self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / "manifest.json").write_bytes((_dumps(manifest) + "\n").encode("utf-8"))
+        for name, data in self.buffered.items():
+            tmp = self.out / f".{name}.tmp"
+            try:
+                tmp.write_bytes(data)
+                os.replace(tmp, self.out / name)
+            finally:
+                tmp.unlink(missing_ok=True)
 
 
 def _load_preferences(run: _Run, path: str | None, overrides: list[str]) -> PreferenceSpec:
@@ -161,6 +174,21 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lowest}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_floats(text: str, option: str) -> list[float]:
@@ -302,16 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     sp.add_argument("--x0", type=_finite_float, default=0.0)
     sp.add_argument("--benchmark", type=_finite_float, default=0.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--box", type=_finite_float, default=None)
     sp.add_argument("--multistart", type=int, default=4)
-    sp.add_argument("--atoms", type=int, default=1)
+    sp.add_argument("--atoms", type=_int_at_least(1), default=1)
     _add_common(sp)
     sp.set_defaults(func=_cmd_optimize)
 
     sp = sub.add_parser("randomization-ladder", help="coin-model values over external coins")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--multistart", type=int, default=4)
     sp.add_argument("--box", type=_finite_float, default=None)
     _add_common(sp)
@@ -337,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("marche-check", help="quantitative no-arbitrage certificate")
     sp.add_argument("--market", required=True)
     sp.add_argument("--pi", default="0.25")
-    sp.add_argument("--direction-samples", type=int, default=128)
+    sp.add_argument("--direction-samples", type=_int_at_least(2), default=128)
     sp.add_argument("--validate-kappa", default=None)
     sp.add_argument("--validate-pi", default=None)
     _add_common(sp)
@@ -345,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("toolkit", help="probability toolkit utilities")
     sp.add_argument("action", choices=["self-test"])
-    sp.add_argument("--seed", type=int, default=SELF_TEST_SEED)
+    sp.add_argument("--seed", type=_int_at_least(0), default=SELF_TEST_SEED)
     _add_common(sp)
     sp.set_defaults(func=_cmd_toolkit)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -54,54 +54,64 @@ def default_box_radius(x0: float) -> float:
 
 _EVAL_BUDGET = 2_000_000
 _SHRINK = 0.5
-# outcome floats in one block of speculative polls, which bounds the kernel's
-# temporaries on large trees
+# outcome floats in one block of speculative polls, shared by the starts
+# polled in lockstep, which bounds the kernel's temporaries on large trees
 _BLOCK_FLOATS = 1 << 15
+# outcome floats a start's block spans at least, in whole coordinates: on
+# small laws a kernel call costs about the same for a few rows as for dozens
+_SPAN_FLOATS = 16
 
 
-def _compass(
-    values_of: Callable[[np.ndarray], np.ndarray],
-    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+def _span(size: int) -> int:
+    """Coordinates a start's block spans at least, for states of ``size`` floats."""
+    return max(1, _SPAN_FLOATS // size)
+
+
+def _poll(
     z0: np.ndarray,
-    state0: np.ndarray,
+    state: np.ndarray,
+    best: float,
     lo: float,
     hi: float,
     tol: float,
-) -> tuple[np.ndarray, float]:
+    row_cap: Callable[[], int],
+    span: int,
+) -> Generator[tuple, tuple, tuple[np.ndarray, float]]:
     """Coordinate poll in [lo, hi]^m with opportunistic acceptance and step shrinking.
 
-    ``state`` is whatever cached transform of z the objective consumes;
-    ``shift(state, js, deltas)`` returns one row per move, row k being the
-    state with coordinate js[k] moved by deltas[k], and ``values_of`` maps
-    such a block to one objective value per row. The full step schedule is
-    restarted from the incumbent until a whole cycle brings no improvement,
-    which guards against unlucky step phasing near kinks.
+    ``state`` is whatever cached transform of z the objective consumes and
+    ``best`` its value. The poll yields a block request ``(state, js,
+    deltas)``, the moves of coordinate js[k] by deltas[k] from ``state``, and
+    receives ``(block, values)``: one shifted state and one objective value
+    per move. It returns ``(z, best)``. The full step schedule is restarted
+    from the incumbent until a whole cycle brings no improvement, which
+    guards against unlucky step phasing near kinks.
 
     The poll is speculative: the moves the sequential poll would try next if
-    none improved are evaluated as one block, and the first improver in poll
+    none improved are requested as one block, and the first improver in poll
     order is accepted, so the trajectory is that of the one-move-at-a-time
     poll. Only the moves that poll would have evaluated count against the
-    budget. The block spans one coordinate at first, doubles after a block
-    without an improver and halves after an acceptance; it never crosses the
-    end of a cycle.
+    budget. The block spans ``span`` coordinates at first, doubles after a
+    block without an improver and halves, down to ``span``, after an
+    acceptance; it never crosses the end of a cycle and never holds more
+    than ``row_cap()`` moves, the cap being read as each block is planned.
     """
-    z = z0.copy()
-    state = state0
-    best = _finite(float(values_of(state0[None])[0]))
-    m = z.size
+    z = z0.tolist()  # Python floats plan faster than numpy scalars, to the same bits
+    best = _finite(best)
+    m = len(z)
     step0 = (hi - lo) / 4.0
-    limit = max(2, _BLOCK_FLOATS // state.size)
     evals = 0
-    width = 1
+    width = span
     for _ in range(50):
         cycle_start = best
         step, j, fails = step0, 0, 0
         while step > tol and evals < _EVAL_BUDGET:
+            limit = row_cap()
             # the moves of the next ``width`` coordinates, if none improves
             moves = []
             s, jj, f, e = step, j, fails, evals
             for _ in range(width):
-                if not (s > tol and e < _EVAL_BUDGET) or len(moves) >= limit:
+                if not (s > tol and e < _EVAL_BUDGET) or len(moves) + 2 > limit:
                     break
                 for sgn in (1.0, -1.0):
                     nc = min(hi, max(lo, z[jj] + sgn * s))
@@ -113,8 +123,8 @@ def _compass(
                     s, jj, f = s * _SHRINK, 0, 0
             if moves:
                 js = np.array([mv[1] for mv in moves])
-                block = shift(state, js, np.array([mv[2] for mv in moves]) - z[js])
-                vals = values_of(block)
+                deltas = np.array([mv[2] - z[mv[1]] for mv in moves])
+                block, vals = yield state, js, deltas
                 hit = np.flatnonzero(~np.isfinite(vals) | (vals > best))
             if not moves or hit.size == 0:
                 step, j, fails, evals = s, jj, f, e
@@ -124,13 +134,13 @@ def _compass(
             best = _finite(float(vals[i]))
             step, jj, nc = moves[i]
             z[jj] = nc
-            state = block[i]
+            state = block[i].copy()
             evals += i + 1
             j, fails = (jj + 1) % m, 0
-            width = max(1, width // 2)
+            width = max(span, width // 2)
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
-    return z, best
+    return np.array(z), best
 
 
 def _finite(v: float) -> float:
@@ -153,6 +163,79 @@ def _one_row_scalar(
     return values_of
 
 
+def _lockstep(
+    values_of: Callable[[np.ndarray], np.ndarray],
+    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    z0s: Sequence[np.ndarray],
+    states: np.ndarray,
+    lo: float,
+    hi: float,
+    tol: float,
+) -> list[tuple[np.ndarray, float]]:
+    """``(z, best)`` of the poll from each start z0s[k] with state states[k].
+
+    The polls run in lockstep: one call values the start states, and in each
+    round the block requests of all live polls are stacked, shifted with one
+    ``shift`` call and valued with one ``values_of`` call; each poll gets its
+    own rows back. ``shift(base, js, deltas)`` takes one state or one base
+    row per move. The live polls share ``_BLOCK_FLOATS``, each start's
+    block holding at least its ``_span`` coordinates.
+    """
+    size = states.shape[1]
+    span = _span(size)
+    n_live = len(z0s)
+
+    def row_cap() -> int:
+        return max(2 * span, _BLOCK_FLOATS // (size * n_live))
+
+    polls = [
+        _poll(z0, state, float(v), lo, hi, tol, row_cap, span)
+        for z0, state, v in zip(z0s, states, values_of(states))
+    ]
+    results: list = [None] * len(polls)
+    requests: dict = {}
+
+    def answer(k: int, reply) -> None:
+        nonlocal n_live
+        try:
+            requests[k] = polls[k].send(reply)
+        except StopIteration as done:
+            results[k] = done.value
+            n_live -= 1
+
+    for k in range(len(polls)):
+        answer(k, None)
+    while requests:
+        ks = list(requests)
+        bases, jss, deltass = zip(*requests.values())
+        requests.clear()
+        counts = [len(js) for js in jss]
+        if len(ks) == 1:  # one live poll: its state is the base of every row
+            block = shift(bases[0], jss[0], deltass[0])
+        else:
+            block = shift(np.repeat(bases, counts, axis=0), np.concatenate(jss),
+                          np.concatenate(deltass))
+        values = values_of(block)
+        a = 0
+        for k, c in zip(ks, counts):
+            answer(k, (block[a : a + c], values[a : a + c]))
+            a += c
+    return results
+
+
+def _compass(
+    values_of: Callable[[np.ndarray], np.ndarray],
+    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    z0: np.ndarray,
+    state0: np.ndarray,
+    lo: float,
+    hi: float,
+    tol: float,
+) -> tuple[np.ndarray, float]:
+    """The poll from one start."""
+    return _lockstep(values_of, shift, [z0], state0[None], lo, hi, tol)[0]
+
+
 def _multistart(
     values_of: Callable[[np.ndarray], np.ndarray],
     shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -162,12 +245,31 @@ def _multistart(
     hi: float,
     tol: float,
 ) -> tuple[np.ndarray, float]:
-    """Compass search from each start in turn; the first best result wins."""
+    """Compass search from every start; the first best result in start order wins.
+
+    The starts are polled in lockstep groups, consecutive starts joining a
+    group while their smallest blocks, stacked, fit ``_BLOCK_FLOATS``. So
+    only one group's states exist at a time, and a block exceeds
+    ``_BLOCK_FLOATS`` only where one start's smallest block does.
+    """
     best_z, best_v = None, -np.inf
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def run() -> None:
+        nonlocal best_z, best_v
+        z0s, states = zip(*group)
+        for z, v in _lockstep(values_of, shift, z0s, np.stack(states), lo, hi, tol):
+            if v > best_v:
+                best_z, best_v = z, v
+        group.clear()
+
     for z0 in starts:
-        z, v = _compass(values_of, shift, z0, state_of(z0), lo, hi, tol)
-        if v > best_v:
-            best_z, best_v = z, v
+        group.append((z0, state_of(z0)))
+        size = group[0][1].size
+        if (len(group) + 1) * 2 * _span(size) * size > _BLOCK_FLOATS:
+            run()
+    if group:
+        run()
     return best_z, best_v
 
 
@@ -376,8 +478,9 @@ def ladder(
         lambda block: _coin_cpt_rows(block, w_plus),
     )
 
-    def shift(vals: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        rows = np.repeat(vals[None], len(js), axis=0)
+    def shift(base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+        rows = np.empty((len(js), base.shape[-1]))
+        rows[:] = base
         rows[np.arange(len(js)), js] += deltas
         return rows
 

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from cpttree import build_iid_market, emit_market
+from cpttree import cli
 from cpttree.cli import _dumps, main
+from cpttree.optimize import LadderResult
 from cpttree.randtools import SELF_TEST_SEED
 
 TK_PREF = (
@@ -109,6 +111,47 @@ class TestBoundary:
         out = tmp_path / "out"
         assert main(["value", "--market", str(indented), "--theta", "0.25", "--out", str(out)]) == 0
         assert read_json(out / "value.json")["v"] == pytest.approx(0.375, abs=1e-12)
+
+
+class TestIntegerOptions:
+    """Integer options out of range are refused by the parser: exit 2, nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--market", "MKT", "--seed", "-1"],
+            ["optimize", "--market", "MKT", "--atoms", "0"],
+            ["randomization-ladder", "--n", "0", "--seed", "-1"],
+            ["toolkit", "self-test", "--seed", "-2"],
+            ["marche-check", "--market", "MKT", "--direction-samples", "0"],
+            ["marche-check", "--market", "MKT", "--direction-samples", "1"],
+            ["optimize", "--market", "MKT", "--seed", "1.5"],
+        ],
+    )
+    def test_out_of_range_exits_2(self, tmp_path, coin_market_file, argv):
+        out = tmp_path / "out"
+        argv = [str(coin_market_file) if a == "MKT" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+class TestArtifactWrites:
+    def test_failed_run_writes_nothing(self, tmp_path, monkeypatch):
+        # the CSV is formatted before the JSON refuses the NaN argmax
+        monkeypatch.setattr(
+            cli, "ladder", lambda n, cfg: LadderResult(values=(0.5,), argmax=((float("nan"),),))
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["randomization-ladder", "--n", "0", "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
+    def test_finished_run_leaves_no_temporary_file(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["randomization-ladder", "--n", "0", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["ladder.csv", "ladder.json", "manifest.json"]
 
 
 class TestCheckWellposed:

@@ -2,13 +2,16 @@
 
 ``sequential_compass`` is the one-move-at-a-time poll, kept here as the
 reference: on the same objective, the speculative poll must return the same
-``(z, best)`` exactly, and raise where the sequential poll raises.
+``(z, best)`` exactly, and raise where the sequential poll raises. Several
+starts polled in lockstep must return what the sequential poll from each
+start in turn returns, the first best in start order winning.
 """
 
 import numpy as np
 import pytest
 
-from cpttree import optimize
+from cpttree import ReferenceSpec, build_iid_market, coin_model_preferences, optimize
+from cpttree.optimize import SearchConfig, optimize_pure
 
 
 def sequential_compass(value_of, shift, z0, state0, lo, hi, tol):
@@ -74,8 +77,8 @@ def scalar_shift(z, j, delta):
     return new
 
 
-def row_shift(z, js, deltas):
-    rows = np.tile(z, (len(js), 1))
+def row_shift(base, js, deltas):
+    rows = np.broadcast_to(base, (len(js), base.shape[-1])).copy()
     rows[np.arange(len(js)), js] += deltas
     return rows
 
@@ -151,8 +154,8 @@ def point_objective(good, bad):
 
 
 def test_non_finite_value_after_the_first_improver_is_never_looked_at():
-    # blocks of one and two coordinates: the second is (+0.25, -0.25, +0.125,
-    # -0.125); the sequential poll stops at -0.25 and never reaches +0.125 from there
+    # the first block holds +0.5, -0.5, +0.25, -0.25, +0.125, ...; the
+    # sequential poll stops at -0.25 and never reaches +0.125 from there
     f = point_objective(good=-0.25, bad=0.125)
     seen = []
 
@@ -171,3 +174,152 @@ def test_non_finite_value_before_the_first_improver_raises():
         reference(f, np.zeros(1))
     with pytest.raises(RuntimeError, match="non-finite"):
         speculative(f, np.zeros(1))
+
+
+# --- several starts in lockstep ----------------------------------------------
+
+
+def reference_multistart(f, z0s, lo=-1.0, hi=1.0, tol=1e-9):
+    best_z, best_v = None, -np.inf
+    for z0 in z0s:
+        z, v = reference(f, z0, lo, hi, tol)
+        if v > best_v:
+            best_z, best_v = z, v
+    return best_z, best_v
+
+
+def lockstep(f, z0s, lo=-1.0, hi=1.0, tol=1e-9):
+    """The lockstep result and the sizes of the blocks it evaluated."""
+    sizes = []
+
+    def values_of(block):
+        sizes.append(len(block))
+        return np.array([f(row) for row in block])
+
+    return optimize._multistart(values_of, row_shift, np.copy, z0s, lo, hi, tol), sizes
+
+
+@pytest.fixture
+def requests_per_start(monkeypatch):
+    """Counts the block requests of each start's poll, in start order."""
+    counts = []
+    real = optimize._poll
+
+    def counted(*args, **kwargs):
+        k = len(counts)
+        counts.append(0)
+        poll = real(*args, **kwargs)
+        reply = None
+        while True:
+            try:
+                request = poll.send(reply)
+            except StopIteration as done:
+                return done.value
+            counts[k] += 1
+            reply = yield request
+
+    monkeypatch.setattr(optimize, "_poll", counted)
+    return counts
+
+
+@pytest.mark.parametrize("m", [1, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_returns_the_first_best_sequential_start(m, seed, requests_per_start):
+    rng = np.random.default_rng(100 + seed)
+    f = kinked_objective(rng, m)
+    z0s = [rng.uniform(-1.0, 1.0, m) for _ in range(5)]
+    got, sizes = lockstep(f, z0s)
+    assert_same(reference_multistart(f, z0s), got)
+    assert sizes[0] == len(z0s)  # one call values every start
+    assert len(set(requests_per_start)) > 1  # the starts finished in different rounds
+    assert max(sizes) > max(speculative(f, z0s[0])[1])  # blocks were stacked
+
+
+def test_duplicate_starts_and_ties_go_to_the_first_start():
+    # a mirror-symmetric objective: starts at -a and +a end at mirrored points
+    # with bitwise equal values
+    def f(z):
+        return float(-np.sum((np.abs(z) - 0.5) ** 2))
+
+    a = np.array([0.3, -0.7])
+    for z0s in ([a, -a, a], [-a, a, -a, -a]):
+        ref = reference_multistart(f, z0s)
+        got, _ = lockstep(f, z0s)
+        assert_same(ref, got)
+        assert np.array_equal(np.sign(got[0]), np.sign(z0s[0]))
+
+
+def test_starts_whose_first_step_is_below_tol():
+    f = kinked_objective(np.random.default_rng(7), 3)
+    z0s = [np.array([0.1, -0.2, 0.3]), np.array([-0.1, 0.0, 0.05]), np.zeros(3)]
+    box = dict(lo=-1e-10, hi=1e-10, tol=1e-9)
+    got, sizes = lockstep(f, z0s, **box)
+    assert_same(reference_multistart(f, z0s, **box), got)
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("budget", [1, 37, 250])
+def test_lockstep_budget_cut(monkeypatch, budget):
+    rng = np.random.default_rng(12)
+    f = kinked_objective(rng, 12)
+    z0s = [rng.uniform(-1.0, 1.0, 12) for _ in range(4)]
+    monkeypatch.setattr(optimize, "_EVAL_BUDGET", budget)
+    assert_same(reference_multistart(f, z0s), lockstep(f, z0s)[0])
+
+
+def test_a_start_that_meets_a_nan_raises_among_live_starts():
+    rng = np.random.default_rng(5)
+    kinked = kinked_objective(rng, 2)
+    point = point_objective(good=-0.125, bad=0.125)
+
+    def f(z):
+        return point(z) if z[1] == 0.0 else kinked(z)
+
+    z0s = [rng.uniform(-1.0, 1.0, 2), np.zeros(2), rng.uniform(-1.0, 1.0, 2)]
+    with pytest.raises(RuntimeError, match="non-finite"):
+        reference_multistart(f, z0s)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        lockstep(f, z0s)
+
+
+def coin_search(monkeypatch, horizon, multistart, budget):
+    """A pure search on the +-1 coin tree with ``budget`` moves per start;
+    returns its strategy, the size in floats of every row-kernel block, and
+    the number of starts in each lockstep group."""
+    blocks, groups = [], []
+    rows, run = optimize._cpt_rows, optimize._lockstep
+
+    def recorded_rows(block, *args):
+        blocks.append(block.size)
+        return rows(block, *args)
+
+    def recorded_run(values_of, shift, z0s, *args):
+        groups.append(len(z0s))
+        return run(values_of, shift, z0s, *args)
+
+    monkeypatch.setattr(optimize, "_EVAL_BUDGET", budget)
+    monkeypatch.setattr(optimize, "_cpt_rows", recorded_rows)
+    monkeypatch.setattr(optimize, "_lockstep", recorded_run)
+    tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], horizon)
+    cfg = SearchConfig(seed=3, multistart=multistart, max_box_doublings=0)
+    strategy, _ = optimize_pure(tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(tree), cfg)
+    return strategy, blocks, groups
+
+
+def test_stacked_blocks_stay_within_the_block_cap(monkeypatch):
+    _, blocks, groups = coin_search(monkeypatch, 9, 16, 200)
+    assert groups == [17]  # the zero start and 16 random ones
+    assert max(blocks) <= optimize._BLOCK_FLOATS
+    assert max(blocks) >= 17 * 2 * 512  # every start polled a coordinate in one call
+
+
+def test_starts_are_grouped_when_their_blocks_do_not_fit(monkeypatch):
+    # 4096 leaves: a start's smallest block is two rows of 4096 floats, so
+    # four starts fill the cap and only one group's states exist at a time
+    strategy, blocks, groups = coin_search(monkeypatch, 12, 10, 30)
+    assert groups == [4, 4, 3]
+    assert max(blocks) <= optimize._BLOCK_FLOATS
+    # grouping changes no result: one group of all starts finds the same strategy
+    monkeypatch.setattr(optimize, "_BLOCK_FLOATS", 1 << 20)
+    alone, _, groups = coin_search(monkeypatch, 12, 10, 30)
+    assert groups == [11] and alone == strategy

@@ -135,6 +135,10 @@ def test_engine_shift_matches_the_dense_column(case):
         expected = outs.copy()
         expected[b * n_leaf : (b + 1) * n_leaf] += delta * dense_column(tree, local)
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+    # one base row per move shifts each row as its own one-move block would
+    moved = engine.shift(rows, js[::-1], deltas)
+    for k, base in enumerate(rows):
+        assert np.array_equal(moved[k], engine.shift(base, js[::-1][k : k + 1], deltas[k : k + 1])[0])
 
 
 def test_deep_coin_engine_is_small():

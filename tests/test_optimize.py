@@ -149,13 +149,13 @@ class TestOptimizePure:
 
     def test_zero_subhedge_runs_the_zero_start_once(self, coin_tree, monkeypatch):
         calls = []
-        real = optimize._compass
+        real = optimize._poll
 
         def counting(*args, **kwargs):
-            calls.append(args[2].copy())
+            calls.append(args[0].copy())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "_compass", counting)
+        monkeypatch.setattr(optimize, "_poll", counting)
         cfg = SearchConfig(seed=1, multistart=2, max_box_doublings=0)
         optimize_pure(coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), cfg)
         assert len(calls) == 1 + cfg.multistart
