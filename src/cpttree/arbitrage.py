@@ -3,18 +3,25 @@
 On a finite tree, absence of arbitrage reduces to a one-step check at every
 non-terminal node: no direction may avoid losses while gaining somewhere.
 The quantitative certificate strengthens this to "every unit direction loses
-at least kappa with conditional probability at least pi".
+at least kappa with conditional probability at least pi". For d = 1 every
+check is an array pass over ``ScenarioTree.families``; for d >= 2 the dot
+products (a batched product rounds differently), the LP and the rank test
+stay per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CertificateError, ValidationError
 from .tree import PROB_TOL, ScenarioTree
+
+# floats of one (candidate, child) temporary in the tail pass
+_TAIL_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,23 +45,20 @@ class MarcheCertificate:
     direction_samples: int
 
 
-def _node_support(tree: ScenarioTree, node: int) -> tuple[np.ndarray, np.ndarray]:
-    kids = tree.children[node]
-    incs = np.array([tree.increments[c] for c in kids], dtype=float)
-    probs = np.array([tree.prob[c] for c in kids], dtype=float)
-    return incs, probs
+def _spans(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest child increment of every non-terminal node (d = 1)."""
+    kids, first = tree.child_layout
+    v, starts = tree.increment_matrix[kids, 0], first[tree.nonterminal_ids]
+    return np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+
+
+def _first(tree: ScenarioTree, flags: np.ndarray) -> int | None:
+    """The first flagged node in nonterminal order, or None."""
+    return int(tree.nonterminal_ids[flags.argmax()]) if flags.any() else None
 
 
 def _one_step_arbitrage(incs: np.ndarray) -> np.ndarray | None:
-    """Direction that never loses and sometimes gains, or None."""
-    d = incs.shape[1]
-    if d == 1:
-        v = incs[:, 0]
-        if np.all(v >= 0.0) and np.any(v > 0.0):
-            return np.array([1.0])
-        if np.all(v <= 0.0) and np.any(v < 0.0):
-            return np.array([-1.0])
-        return None
+    """Direction that never loses and sometimes gains, or None (d >= 2)."""
     scale = float(np.abs(incs).sum())
     if scale == 0.0:
         return None
@@ -65,7 +69,7 @@ def _one_step_arbitrage(incs: np.ndarray) -> np.ndarray | None:
         c=-incs.sum(axis=0),
         A_ub=-incs,
         b_ub=np.zeros(len(incs)),
-        bounds=[(-1.0, 1.0)] * d,
+        bounds=[(-1.0, 1.0)] * incs.shape[1],
         method="highs",
     )
     if not res.success:
@@ -77,25 +81,29 @@ def _one_step_arbitrage(incs: np.ndarray) -> np.ndarray | None:
 
 def check_NA(tree: ScenarioTree) -> NAResult:
     """True iff no one-step arbitrage exists at any node; witness otherwise."""
-    for node in tree.nonterminal_ids:
-        incs, _ = _node_support(tree, int(node))
-        direction = _one_step_arbitrage(incs)
+    if tree.asset_dim == 1:
+        lo, hi = _spans(tree)
+        hit = ((lo >= 0.0) & (hi > 0.0)) | ((hi <= 0.0) & (lo < 0.0))
+        if not hit.any():
+            return NAResult(ok=True)
+        k = int(hit.argmax())
+        return NAResult(False, int(tree.nonterminal_ids[k]), (1.0,) if lo[k] >= 0.0 else (-1.0,))
+    for node in tree.nonterminal_ids.tolist():
+        direction = _one_step_arbitrage(tree.increment_matrix[list(tree.children[node])])
         if direction is not None:
-            return NAResult(ok=False, node=int(node), direction=tuple(map(float, direction)))
+            return NAResult(ok=False, node=node, direction=tuple(map(float, direction)))
     return NAResult(ok=True)
 
 
 def check_R(tree: ScenarioTree) -> tuple[bool, int | None]:
     """Non-degeneracy: conditional supports are not confined to a proper affine subspace."""
-    for node in tree.nonterminal_ids:
-        incs, _ = _node_support(tree, int(node))
-        if tree.asset_dim == 1:
-            if len(np.unique(incs[:, 0])) < 2:
-                return False, int(node)
-        else:
-            centered = incs - incs[0]
-            if np.linalg.matrix_rank(centered) < tree.asset_dim:
-                return False, int(node)
+    if tree.asset_dim == 1:
+        node = _first(tree, np.equal(*_spans(tree)))
+        return node is None, node
+    for node in tree.nonterminal_ids.tolist():
+        incs = tree.increment_matrix[list(tree.children[node])]
+        if np.linalg.matrix_rank(incs - incs[0]) < tree.asset_dim:
+            return False, node
     return True, None
 
 
@@ -121,23 +129,43 @@ def unit_directions(d: int, n_samples: int, seed: int = 13) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _tail_prob(dots: np.ndarray, probs: np.ndarray, kappa: float) -> float:
-    return float(probs[dots <= -kappa].sum())
+def _family_dots(tree: ScenarioTree, dirs: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per block of ``tree.families``: its rows, the (rows, directions,
+    children) dots of the children's increments, the children's probabilities."""
+    for rows, kids in tree.families(len(dirs)):
+        if tree.asset_dim == 1:
+            # the +-1 scan: the increments and their negatives, exactly
+            dots = tree.increment_matrix[kids, 0][:, None, :] * dirs[:, 0, None]
+        else:
+            dots = np.array([[tree.increment_matrix[fam] @ xi for xi in dirs] for fam in kids])
+        yield rows, dots, tree.prob_array[kids]
 
 
-def _direction_max_kappa(dots: np.ndarray, probs: np.ndarray, pi: float) -> float | None:
-    """Largest kappa with P(dot <= -kappa) >= pi; candidates are the loss magnitudes.
+def _tails_at(
+    dots: np.ndarray, probs: np.ndarray, r: np.ndarray, i: np.ndarray, level: np.ndarray
+) -> np.ndarray:
+    """``probs[r][dots[r, i] <= level].sum()`` per (row r, direction i) pair,
+    bitwise: numpy sums fewer than eight terms as a left fold, the last column
+    of a zero-filled row's cumulative sum, and longer ones pairwise, so those
+    rows are summed one by one. ``_TAIL_FLOATS`` (pair, child) cells at a time."""
+    out = np.empty(r.size)
+    step = max(1, _TAIL_FLOATS // dots.shape[2])
+    for a in range(0, r.size, step):
+        sel = dots[r[a : a + step], i[a : a + step]] <= level[a : a + step, None]
+        p = probs[r[a : a + step]]
+        out[a : a + step] = np.where(sel, p, 0.0).cumsum(axis=1)[:, -1]
+        for k in np.flatnonzero(sel.sum(axis=1) >= 8):
+            out[a + k] = p[k][sel[k]].sum()
+    return out
 
-    The comparison carries the probability-sum tolerance: a tail that is
-    exactly pi up to summation rounding must count as reaching it.
-    """
-    neg = dots < 0.0
-    if not np.any(neg):
-        return None
-    for kappa in np.unique(-dots[neg])[::-1]:  # descending loss magnitude
-        if _tail_prob(dots, probs, float(kappa)) >= pi - PROB_TOL:
-            return float(kappa)
-    return None
+
+def _level_tails(tree: ScenarioTree, dirs: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """(nodes, directions) tail masses P(xi . dS <= level[node] | node)."""
+    out = np.empty((len(level), len(dirs)))
+    for rows, dots, probs in _family_dots(tree, dirs):
+        r, i = np.indices(dots.shape[:2]).reshape(2, -1)
+        out[rows] = _tails_at(dots, probs, r, i, level[rows][r]).reshape(len(rows), -1)
+    return out
 
 
 def _per_level(value: float | Sequence[float], horizon: int, name: str) -> list[float]:
@@ -155,7 +183,9 @@ def marche_certificate(
     """Per-node maximal kappa at the requested pi level.
 
     Fails with the witness node when no-arbitrage is violated or when a node
-    cannot grant the requested tail mass in every tested direction.
+    cannot grant the requested tail mass in every tested direction. The
+    tail comparison carries the probability-sum tolerance: a tail that is
+    exactly pi up to summation rounding counts as reaching it.
     """
     na = check_NA(tree)
     if not na.ok:
@@ -164,27 +194,29 @@ def marche_certificate(
     if any(not 0.0 < p <= 1.0 for p in pis):
         raise ValidationError("pi must lie in (0, 1]")
     dirs = unit_directions(tree.asset_dim, direction_samples)
-    entries: dict[int, tuple[float, float]] = {}
-    depth = tree.depth
-    for node in tree.nonterminal_ids:
-        node = int(node)
-        level_pi = pis[depth[node]]
-        incs, probs = _node_support(tree, node)
-        kappa = None
-        for xi in dirs:
-            k = _direction_max_kappa(incs @ xi, probs, level_pi)
-            if k is None:
-                kappa = None
-                break
-            kappa = k if kappa is None else min(kappa, k)
-        if kappa is None or kappa <= 0.0:
-            raise CertificateError(
-                f"node {node}: no kappa > 0 achieves tail mass {level_pi} in every direction",
-                node=node,
-            )
-        entries[node] = (kappa, level_pi)
+    nodes = tree.nonterminal_ids
+    level_pi = np.array(pis)[tree.depth[nodes]]
+    kappa = np.empty(len(nodes))
+    for rows, dots, probs in _family_dots(tree, dirs):
+        # kappa is the first candidate loss, in descending magnitude, whose
+        # tail reaches pi: the largest one that does
+        r, i, j = np.nonzero(dots < 0.0)
+        loss = dots[r, i, j]
+        ok = _tails_at(dots, probs, r, i, loss) >= level_pi[rows][r] - PROB_TOL
+        best = np.full(dots.shape[:2], -np.inf)
+        np.maximum.at(best, (r[ok], i[ok]), -loss[ok])
+        kappa[rows] = best.min(axis=1)
+    node = _first(tree, ~(kappa > 0.0))
+    if node is not None:
+        raise CertificateError(
+            f"node {node}: no kappa > 0 achieves tail mass {pis[tree.depth[node]]} "
+            "in every direction",
+            node=node,
+        )
     return MarcheCertificate(
-        entries=entries, sampled=tree.asset_dim >= 2, direction_samples=len(dirs)
+        entries=dict(zip(nodes.tolist(), zip(kappa.tolist(), level_pi.tolist()))),
+        sampled=tree.asset_dim >= 2,
+        direction_samples=len(dirs),
     )
 
 
@@ -199,8 +231,9 @@ def validate_certificate(
     pis = _per_level(pi, tree.horizon, "pi")
     if any(k <= 0 for k in kappas) or any(not 0.0 < p <= 1.0 for p in pis):
         raise ValidationError("need kappa > 0 and pi in (0, 1]")
-    depth = tree.depth
-    entries = {int(n): (kappas[depth[n]], pis[depth[n]]) for n in tree.nonterminal_ids}
+    depth = tree.depth[tree.nonterminal_ids]
+    pairs = zip(np.array(kappas)[depth].tolist(), np.array(pis)[depth].tolist())
+    entries = dict(zip(tree.nonterminal_ids.tolist(), pairs))
     return validate_entries(tree, entries, direction_samples)
 
 
@@ -209,20 +242,29 @@ def validate_entries(
     entries: Mapping[int, tuple[float, float]],
     direction_samples: int = 128,
 ) -> tuple[bool, int | None]:
-    """Check per-node (kappa, pi) pairs, e.g. a computed certificate's entries."""
+    """Check per-node (kappa, pi) pairs, e.g. a computed certificate's entries.
+
+    The first node in nonterminal order that lacks an entry, has an invalid
+    pair or fails its tail test decides: the first two raise, the last is
+    the witness.
+    """
     dirs = unit_directions(tree.asset_dim, direction_samples)
-    for node in tree.nonterminal_ids:
-        node = int(node)
-        if node not in entries:
-            raise ValidationError(f"certificate entries missing node {node}")
-        k, p = entries[node]
-        if k <= 0 or not 0.0 < p <= 1.0:
-            raise ValidationError(f"node {node}: need kappa > 0 and pi in (0, 1]")
-        incs, probs = _node_support(tree, node)
-        for xi in dirs:
-            if _tail_prob(incs @ xi, probs, k) < p - PROB_TOL:
-                return False, node
-    return True, None
+    nodes = tree.nonterminal_ids.tolist()
+    missing = ~np.fromiter(map(entries.__contains__, nodes), bool, len(nodes))
+    k, p = np.array(list(map(entries.get, nodes, repeat((1.0, 1.0)))), dtype=float).T
+    invalid = (k <= 0) | ~((0.0 < p) & (p <= 1.0))
+    fails = (_level_tails(tree, dirs, -k) < (p - PROB_TOL)[:, None]).any(axis=1)
+    event = missing | invalid | ~np.isfinite(k) | fails
+    if not event.any():
+        return True, None
+    i = int(event.argmax())
+    if missing[i]:
+        raise ValidationError(f"certificate entries missing node {nodes[i]}")
+    if invalid[i]:
+        raise ValidationError(f"node {nodes[i]}: need kappa > 0 and pi in (0, 1]")
+    if not np.isfinite(k[i]):
+        raise ValidationError(f"node {nodes[i]}: kappa {float(k[i])!r} is not finite")
+    return False, nodes[i]
 
 
 def canonical_onedim_pairs(tree: ScenarioTree) -> dict[int, tuple[float, float]]:
@@ -230,14 +272,10 @@ def canonical_onedim_pairs(tree: ScenarioTree) -> dict[int, tuple[float, float]]
     matching minimal tail mass, node by node."""
     if tree.asset_dim != 1:
         raise ValidationError("canonical pairs are defined for single-asset trees")
-    out: dict[int, tuple[float, float]] = {}
-    for node in tree.nonterminal_ids:
-        node = int(node)
-        incs, probs = _node_support(tree, node)
-        v = incs[:, 0]
-        if v.min() >= 0.0 or v.max() <= 0.0:
-            raise CertificateError(f"node {node}: support does not straddle zero", node=node)
-        kappa = min(abs(float(v.min())), float(v.max()))
-        pi = min(float(probs[v <= -kappa].sum()), float(probs[v >= kappa].sum()))
-        out[node] = (kappa, pi)
-    return out
+    lo, hi = _spans(tree)
+    node = _first(tree, (lo >= 0.0) | (hi <= 0.0))
+    if node is not None:
+        raise CertificateError(f"node {node}: support does not straddle zero", node=node)
+    kappa = np.minimum(np.abs(lo), hi)
+    pi = _level_tails(tree, unit_directions(1, 2), -kappa).min(axis=1)
+    return dict(zip(tree.nonterminal_ids.tolist(), zip(kappa.tolist(), pi.tolist())))

@@ -46,6 +46,8 @@ class SearchConfig:
             raise ValidationError("tol must be positive")
         if self.multistart < 1:
             raise ValidationError("multistart must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def default_box_radius(x0: float) -> float:

@@ -359,6 +359,8 @@ def _random_joint(rng: np.random.Generator, max_atoms: int = 20) -> FiniteJoint:
 
 def toolkit_self_test(seed: int = SELF_TEST_SEED) -> dict:
     """Deterministic statistical suite; every check is seeded and reproducible."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     checks: list[dict] = []
 

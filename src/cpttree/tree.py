@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
+# floats one block of ``ScenarioTree.families`` may span
+_FAMILY_FLOATS = 1 << 16
 
 
 def _fmt(x: float) -> str:
@@ -71,20 +73,24 @@ class ScenarioTree:
             width = len(self.states[0])
             if any(len(s) != width for s in self.states):
                 raise ValidationError("state vectors must share one dimension")
+        # the first node, in id order, whose family breaks the tree's shape
         depth = self.depth
-        for i in range(n):
-            children = self.children[i]
-            if depth[i] == self.horizon:
-                if children:
-                    raise ValidationError(f"node {i}: children below depth T")
-            else:
-                if not children:
-                    raise ValidationError(f"node {i}: leaf at depth {depth[i]} != T")
-                s = float(sum(self.prob[c] for c in children))
-                if abs(s - 1.0) > PROB_TOL:
-                    raise ValidationError(
-                        f"node {i}: children probabilities sum to {s!r}, not 1"
-                    )
+        count = np.diff(self.child_layout[1])
+        sums = np.ones(n)
+        for rows, kids in self.families():
+            # the last column of a row's cumulative sum is the left fold ``sum`` makes
+            sums[self.nonterminal_ids[rows]] = self.prob_array[kids].cumsum(axis=1)[:, -1]
+        at_t = depth == self.horizon
+        bad = np.where(at_t, count > 0, (count == 0) | (np.abs(sums - 1.0) > PROB_TOL))
+        if bad.any():
+            i = int(bad.argmax())
+            if at_t[i]:
+                raise ValidationError(f"node {i}: children below depth T")
+            if not count[i]:
+                raise ValidationError(f"node {i}: leaf at depth {depth[i]} != T")
+            raise ValidationError(
+                f"node {i}: children probabilities sum to {float(sums[i])!r}, not 1"
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -92,18 +98,54 @@ class ScenarioTree:
 
     @cached_property
     def depth(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes, dtype=int)
-        for i in range(1, self.n_nodes):
-            d[i] = d[self.parent[i]] + 1
+        # pointer doubling: d[i] edges lead from node i up to jump[i]
+        jump = np.array(self.parent)
+        jump[0] = 0
+        d = np.ones(self.n_nodes, dtype=int)
+        d[0] = 0
+        while jump.any():
+            d += d[jump]
+            jump = jump[jump]
         d.flags.writeable = False
         return d
 
     @cached_property
+    def child_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The children layout: child ids sorted stably by parent, so node i's
+        children are ``kids[first[i]:first[i + 1]]``, in id order."""
+        parent = np.asarray(self.parent)
+        kids = parent[1:].argsort(kind="stable") + 1
+        first = np.zeros(self.n_nodes + 1, dtype=int)
+        np.cumsum(np.bincount(parent[1:], minlength=self.n_nodes), out=first[1:])
+        kids.flags.writeable = False
+        first.flags.writeable = False
+        return kids, first
+
+    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i in range(1, self.n_nodes):
-            kids[self.parent[i]].append(i)
-        return tuple(tuple(k) for k in kids)
+        kids, first = (a.tolist() for a in self.child_layout)
+        return tuple(tuple(kids[a:b]) for a, b in zip(first, first[1:]))
+
+    def families(self, floats_per_child: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The non-terminal nodes' children, in blocks of equal family size.
+
+        Yields ``(rows, kids)``: ``rows`` are positions in ``nonterminal_ids``
+        and ``kids[k]`` is the children of ``nonterminal_ids[rows[k]]`` in id
+        order. Equal sizes need no padding, so one large family does not
+        widen every row; a block spans at most ``_FAMILY_FLOATS`` floats at
+        ``floats_per_child`` per child, and at least one family.
+        """
+        kids, first = self.child_layout
+        nodes = self.nonterminal_ids
+        size = first[nodes + 1] - first[nodes]
+        order = size.argsort(kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(size[order])) + 1).tolist(), len(order)]
+        for a, b in zip(cuts, cuts[1:]):
+            width = int(size[order[a]])
+            step = max(1, _FAMILY_FLOATS // (width * floats_per_child))
+            for lo in range(a, b, step):
+                rows = order[lo : min(lo + step, b)]
+                yield rows, kids[first[nodes[rows]][:, None] + np.arange(width)]
 
     @cached_property
     def leaf_ids(self) -> np.ndarray:
@@ -120,9 +162,16 @@ class ScenarioTree:
 
     @cached_property
     def nonterminal_ids(self) -> np.ndarray:
-        ids = np.array([i for i in range(self.n_nodes) if self.children[i]], dtype=int)
+        first = self.child_layout[1]
+        ids = np.flatnonzero(first[1:] > first[:-1])
         ids.flags.writeable = False
         return ids
+
+    @cached_property
+    def prob_array(self) -> np.ndarray:
+        p = np.array(self.prob, dtype=float)
+        p.flags.writeable = False
+        return p
 
     @cached_property
     def increment_matrix(self) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpttree import (
     DiffusionSpec,
@@ -168,6 +170,29 @@ class TestPmfFiles:
     def test_round_trip(self):
         pmf = uniform_quantile_pmf(-1.0, 1.0, 8)
         assert parse_pmf(emit_pmf(pmf)) == pmf
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda d: st.lists(
+                st.tuples(
+                    st.integers(1, 64),
+                    st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * d),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_random_pmfs_round_trip(self, atoms):
+        # dyadic weights sum to 1 exactly, so normalizing leaves them as they are
+        scale = 2.0 ** int(np.ceil(np.log2(sum(w for w, _ in atoms))))
+        pmf = [(w / scale, v) for w, v in atoms]
+        pmf[-1] = (1.0 - sum(w for w, _ in pmf[:-1]), pmf[-1][1])
+        text = emit_pmf(pmf)
+        parsed = parse_pmf(text)
+        assert parsed == pmf
+        assert emit_pmf(parsed) == text
 
     def test_quantile_grid_matches_cdf_at_atoms(self):
         pmf = uniform_quantile_pmf(-1.0, 1.0, 1000)

@@ -121,6 +121,15 @@ class TestCoinModelValue:
 
 
 class TestOptimizePure:
+    def test_negative_seed_is_a_validation_error(self, coin_tree):
+        with pytest.raises(ValidationError, match="seed"):
+            optimize_pure(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
+                SearchConfig(seed=-1),
+            )
+        with pytest.raises(ValidationError, match="seed"):
+            ladder(1, SearchConfig(seed=-1))
+
     def test_coin_model_finds_quarter(self, coin_tree):
         strat, val = optimize_pure(
             coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),

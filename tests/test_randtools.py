@@ -364,6 +364,10 @@ class TestConditionalUniformize:
 
 
 class TestSelfTest:
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="seed"):
+            toolkit_self_test(-2)
+
     def test_documented_seed_passes_everything(self):
         report = toolkit_self_test()
         assert report["all_passed"], report

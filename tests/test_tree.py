@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpttree import (
     PureStrategy,
@@ -92,6 +94,33 @@ class TestTerminalWealth:
                 assert w_shift[leaf] == w_base[leaf] + 0.5
 
 
+def ref_layout(parent, prob):
+    """Children, nonterminal ids and depths, node by node."""
+    n = len(parent)
+    kids = [[] for _ in range(n)]
+    depth = [0] * n
+    for i in range(1, n):
+        kids[parent[i]].append(i)
+        depth[i] = depth[parent[i]] + 1
+    return tuple(map(tuple, kids)), [i for i in range(n) if kids[i]], depth
+
+
+def ref_family_error(horizon, parent, prob):
+    """The message of the per-node family check, or None."""
+    kids, _, depth = ref_layout(parent, prob)
+    for i in range(len(parent)):
+        if depth[i] == horizon:
+            if kids[i]:
+                return f"node {i}: children below depth T"
+        else:
+            if not kids[i]:
+                return f"node {i}: leaf at depth {depth[i]} != T"
+            s = float(sum(prob[c] for c in kids[i]))
+            if abs(s - 1.0) > 1e-12:
+                return f"node {i}: children probabilities sum to {s!r}, not 1"
+    return None
+
+
 class TestTreeValidation:
     def test_children_probabilities_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="children probabilities"):
@@ -122,6 +151,53 @@ class TestTreeValidation:
                 prob=(1.0, 1.0, 0.0),
                 increments=((0.0,), (1.0,), (-1.0,)),
             )
+
+    def test_shape_errors_match_the_node_by_node_check(self):
+        # random parents, horizons and probabilities: the first bad node and
+        # its message are those of the per-node loop the layout replaced
+        rng = np.random.default_rng(21)
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(2, 30))
+            parent = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+            prob = [1.0] + rng.uniform(0.01, 1.0, n - 1).tolist()
+            if rng.random() < 0.7:
+                for node in set(parent[1:]):
+                    kids = [c for c in range(1, n) if parent[c] == node]
+                    w = rng.uniform(0.05, 1.0, len(kids))
+                    w = w / w.sum()
+                    for c, p in zip(kids, w):
+                        prob[c] = float(p)
+            ref = ref_layout(parent, prob)
+            horizon = int(rng.integers(1, 5)) if rng.random() < 0.3 else max(ref[2])
+            expected = ref_family_error(horizon, parent, prob)
+            seen.add(expected.split(":")[-1][:12] if expected else None)
+            kwargs = dict(
+                horizon=horizon, asset_dim=1, parent=tuple(parent), prob=tuple(prob),
+                increments=((0.0,),) * n,
+            )
+            if expected is None:
+                tree = ScenarioTree(**kwargs)
+                assert tree.children == ref[0]
+                assert tree.nonterminal_ids.tolist() == ref[1]
+                assert tree.depth.tolist() == ref[2]
+            else:
+                with pytest.raises(ValidationError) as err:
+                    ScenarioTree(**kwargs)
+                assert str(err.value) == expected
+        assert len(seen) == 4  # valid trees and each kind of error
+
+    def test_families_come_in_equal_size_blocks(self, monkeypatch):
+        from cpttree import tree as tree_module
+
+        monkeypatch.setattr(tree_module, "_FAMILY_FLOATS", 8)
+        tree = build_iid_market([(0.25, 1.0), (0.25, -1.0), (0.5, 0.125)], 2)
+        blocks = list(tree.families(2))
+        assert [b[1].shape for b in blocks] == [(1, 3), (1, 3), (1, 3), (1, 3)]
+        rows = np.concatenate([b[0] for b in blocks])
+        assert sorted(rows.tolist()) == list(range(len(tree.nonterminal_ids)))
+        for r, kids in blocks:
+            assert kids.tolist() == [list(tree.children[tree.nonterminal_ids[k]]) for k in r]
 
     def test_leaf_probabilities_multiply_along_paths(self):
         tree = two_step_coin()
@@ -169,6 +245,33 @@ class TestReference:
         assert not ok and witness == 2
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def markets(draw):
+    """Trees of horizon 1-3 and dimension 1-2 with any finite increments;
+    each family's last probability closes the sum to 1."""
+    horizon = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    parent, prob, incs = [-1], [1.0], [(0.0,) * d]
+    frontier = [0]
+    for _ in range(horizon):
+        nxt = []
+        for k, node in enumerate(frontier):
+            # past a level's fourth node, one certain child keeps the tree small
+            w = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)) if k < 4 else [1]
+            ps = [x / sum(w) for x in w]
+            ps[-1] = 1.0 - sum(ps[:-1])
+            for p in ps:
+                parent.append(node)
+                prob.append(p)
+                incs.append(tuple(draw(finite) for _ in range(d)))
+                nxt.append(len(parent) - 1)
+        frontier = nxt
+    return ScenarioTree(horizon, d, tuple(parent), tuple(prob), tuple(incs))
+
+
 class TestMarketFormat:
     def test_round_trip_is_byte_stable(self):
         tree = build_iid_market([(0.25, 1.0), (0.25, -1.0), (0.5, 0.125)], 2)
@@ -180,6 +283,15 @@ class TestMarketFormat:
         tree = two_step_coin()
         parsed = parse_market(emit_market(tree))
         assert parsed == tree
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_markets_round_trip(self, data):
+        tree = data.draw(markets())
+        text = emit_market(tree)
+        parsed = parse_market(text)
+        assert parsed == tree
+        assert emit_market(parsed) == text
 
     def test_header_required(self):
         with pytest.raises(ValidationError, match="header"):
