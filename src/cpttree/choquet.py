@@ -55,38 +55,22 @@ class DiscreteRV:
         return a[:, 0], a[:, 1]
 
 
-def _choquet_arrays(values: np.ndarray, probs: np.ndarray, w: Callable) -> float:
-    if values.size == 0:
-        return 0.0
-    if np.any(values < 0.0):
-        raise ValidationError("choquet_nonneg requires nonnegative atom values")
-    order = np.lexsort((probs, values))
-    v = values[order]
-    p = probs[order]
-    distinct, start = np.unique(v, return_index=True)
-    mass = np.add.reduceat(p, start)
-    # rounding in the cumulative sum may push the total an ulp past 1
-    survival = np.minimum(np.cumsum(mass[::-1])[::-1], 1.0)
-    prev = np.concatenate(([0.0], distinct[:-1]))
-    return float(np.sum((distinct - prev) * np.asarray(w(survival), dtype=float)))
-
-
 def _choquet_rows(values: np.ndarray, probs: np.ndarray, *ws: Callable) -> np.ndarray:
-    """``_choquet_arrays(values[k], probs, w)`` for every row k of a (K, L) block,
-    bitwise equal to it. With several distortions the rows fall into as many
-    equal consecutive blocks, block i distorted by ``ws[i]``, so the gain and
-    loss sides of one outcome block share one call.
+    """Distorted survival integral of each row of a (K, L) block of
+    nonnegative atom values sharing the L probabilities. With several
+    distortions the rows fall into as many equal consecutive blocks, block i
+    distorted by ``ws[i]``, so the gain and loss sides of an outcome block
+    share one call.
 
-    Every step repeats the scalar kernel's arithmetic in its order. Each row
-    is put in the lexsort's order (by value, ties by probability, then by
-    position): with equal probabilities a plain sort of the values is that
-    order; otherwise the columns go in probability order, each row is sorted
-    by value and runs of equal values are re-sorted by column. One flat
-    ``reduceat`` merges the tie masses, suffix sums are sequential
-    cumulative sums of each reversed row, the distortion and the products
-    are elementwise. numpy sums pairwise: a row of fewer than eight terms is
-    a left fold, which zero padding keeps, so those rows are summed as one
-    padded block; longer rows are summed one by one.
+    Each row is put in the canonical atom order (by value, ties by
+    probability, then by position): with equal probabilities a plain sort of
+    the values is that order; otherwise the columns go in probability order,
+    each row is sorted by value and runs of equal values are re-sorted by
+    column. One flat ``reduceat`` merges the tie masses, suffix sums are
+    sequential cumulative sums of each reversed row, the distortion and the
+    products are elementwise. numpy sums pairwise: a row of fewer than eight
+    terms is a left fold, which zero padding keeps, so those rows are summed
+    as one padded block; longer rows are summed one by one.
     """
     n_rows, n_cols = values.shape
     if n_cols == 0:
@@ -143,7 +127,7 @@ def choquet_nonneg(rv: DiscreteRV, w: Callable) -> float:
     if abs(float(w(0.0))) > 1e-12:
         raise ValidationError("distortion must satisfy w(0) = 0")
     values, probs = rv.arrays()
-    return _choquet_arrays(values, probs, w)
+    return float(_choquet_rows(values[None], probs, w)[0])
 
 
 @dataclass(frozen=True)
@@ -250,26 +234,31 @@ def _strategy_outcome_law(
     return np.concatenate(outs), np.concatenate([w * tree.leaf_prob for w, _ in atoms])
 
 
-def cpt_value_from_outcomes(
+def _cpt_sides(
     outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec
-) -> CPTValue:
-    """CPT value of a finite outcome law relative to an already-subtracted benchmark."""
-    gains = np.asarray(pref.utility.u_plus(np.maximum(outcomes, 0.0)), dtype=float)
-    losses = np.asarray(pref.utility.u_minus(np.maximum(-outcomes, 0.0)), dtype=float)
-    v_plus = _choquet_arrays(gains, probs, pref.distortion.plus)
-    v_minus = _choquet_arrays(losses, probs, pref.distortion.minus)
-    return CPTValue.from_parts(v_plus, v_minus)
-
-
-def _cpt_rows(outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec) -> np.ndarray:
-    """CPT value of every row of a (K, L) outcome block, each row bitwise equal
-    to ``cpt_value_from_outcomes(row, probs, pref).v``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and loss sides of every row of a (K, L) outcome block, from one
+    kernel call."""
     gains = np.asarray(pref.utility.u_plus(np.maximum(outcomes, 0.0)), dtype=float)
     losses = np.asarray(pref.utility.u_minus(np.maximum(-outcomes, 0.0)), dtype=float)
     both = _choquet_rows(
         np.concatenate((gains, losses)), probs, pref.distortion.plus, pref.distortion.minus
     )
-    return both[: len(outcomes)] - both[len(outcomes) :]
+    return both[: len(outcomes)], both[len(outcomes) :]
+
+
+def cpt_value_from_outcomes(
+    outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec
+) -> CPTValue:
+    """CPT value of a finite outcome law relative to an already-subtracted benchmark."""
+    (v_plus,), (v_minus,) = _cpt_sides(outcomes[None], probs, pref)
+    return CPTValue.from_parts(float(v_plus), float(v_minus))
+
+
+def _cpt_rows(outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec) -> np.ndarray:
+    """CPT value of every row of a (K, L) outcome block."""
+    v_plus, v_minus = _cpt_sides(outcomes, probs, pref)
+    return v_plus - v_minus
 
 
 def cpt_value(

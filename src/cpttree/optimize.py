@@ -15,15 +15,8 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .choquet import (
-    CPTValue,
-    OutcomeEngine,
-    _choquet_arrays,
-    _choquet_rows,
-    _cpt_rows,
-    cpt_value,
-    cpt_value_from_outcomes,
-)
+from .choquet import CPTValue, OutcomeEngine, _choquet_rows, _cpt_rows, cpt_value
+from .choquet import cpt_value_from_outcomes  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .errors import ValidationError
 from .preferences import Distortion, PreferenceSpec
 from .tree import PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree
@@ -149,20 +142,6 @@ def _finite(v: float) -> float:
     if not np.isfinite(v):
         raise RuntimeError("non-finite objective value during search")
     return v
-
-
-def _one_row_scalar(
-    value_of: Callable[[np.ndarray], float], rows_of: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Block objective that sends a one-row block to the scalar kernel, which
-    costs less than the row kernel there."""
-
-    def values_of(block: np.ndarray) -> np.ndarray:
-        if len(block) == 1:
-            return np.array([value_of(block[0])])
-        return rows_of(block)
-
-    return values_of
 
 
 def _lockstep(
@@ -295,15 +274,11 @@ def _search_tree(
     phi = ref.subhedge.as_flat(tree)
     stacked_phi = np.tile(phi, n_atoms)
     probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
-    values_of = _one_row_scalar(
-        lambda outs: float(cpt_value_from_outcomes(outs, probs, pref).v),
-        lambda block: _cpt_rows(block, probs, pref),
-    )
 
     def search(z0s: Sequence[np.ndarray]) -> np.ndarray:
         return _multistart(
-            values_of, engine.shift, lambda z: engine.outcomes(stacked_phi + z, x0),
-            z0s, -radius, radius, cfg.tol,
+            lambda block: _cpt_rows(block, probs, pref), engine.shift,
+            lambda z: engine.outcomes(stacked_phi + z, x0), z0s, -radius, radius, cfg.tol,
         )[0]
 
     best_z = search(starts(phi, radius, np.random.default_rng(cfg.seed)))
@@ -399,6 +374,40 @@ def optimize_randomized(
 _SQRT_DISTORTION = Distortion.power(0.5)
 
 
+def _position_law(
+    theta_values: Sequence[float], weights: Sequence[float] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The |theta| atoms of a mixed position and their external weights,
+    equal unless given."""
+    vals = np.abs(np.asarray(theta_values, dtype=float))
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValidationError("need a flat sequence of at least one position atom")
+    if not np.isfinite(vals).all():
+        raise ValidationError("position atoms must be finite")
+    if weights is None:
+        return vals, np.full(vals.size, 1.0 / vals.size)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != vals.shape:
+        raise ValidationError("weights must match theta_values")
+    if not np.all(w > 0) or abs(float(w.sum()) - 1.0) > 1e-12:  # NaN fails w > 0
+        raise ValidationError("weights must be positive and sum to 1")
+    return vals, w
+
+
+def _coin_sides(
+    vals: np.ndarray, w: np.ndarray, w_plus: Distortion | Callable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and loss sides of every row of a (K, m) block of |theta| atoms
+    with external weights w."""
+    n_rows, m = vals.shape
+    gains = np.zeros((n_rows, m + 1))  # the coin's losing half gains 0
+    gains[:, :m] = vals**0.25
+    gprobs = np.concatenate((w / 2.0, [0.5]))
+    # row by row: a matrix-vector product sums in another order than w @ row
+    v_minus = np.array([0.5 * float(w @ row) for row in vals])
+    return _choquet_rows(gains, gprobs, w_plus), v_minus
+
+
 def coin_cpt_value(
     theta_values: Sequence[float],
     weights: Sequence[float] | None = None,
@@ -410,36 +419,17 @@ def coin_cpt_value(
     makes |theta| a gain or a loss with probability 1/2 each, gains valued by
     the quartic root, losses linearly with no loss distortion.
     """
-    vals = np.abs(np.asarray(theta_values, dtype=float))
-    if vals.size == 0:
-        raise ValidationError("need at least one position atom")
-    if weights is None:
-        w = np.full(vals.size, 1.0 / vals.size)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != vals.shape:
-            raise ValidationError("weights must match theta_values")
-        if np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValidationError("weights must be positive and sum to 1")
-    gains = np.concatenate((vals**0.25, [0.0]))
-    gprobs = np.concatenate((w / 2.0, [0.5]))
-    v_plus = _choquet_arrays(gains, gprobs, w_plus)
-    v_minus = 0.5 * float(w @ vals)
-    return CPTValue.from_parts(v_plus, v_minus)
+    vals, w = _position_law(theta_values, weights)
+    (v_plus,), (v_minus,) = _coin_sides(vals[None], w, w_plus)
+    return CPTValue.from_parts(float(v_plus), float(v_minus))
 
 
 def _coin_cpt_rows(theta_rows: np.ndarray, w_plus: Distortion | Callable) -> np.ndarray:
     """``coin_cpt_value(row, w_plus=w_plus).v`` for every row of a (K, m) block
-    of equally weighted positions, bitwise equal to it."""
-    vals = np.abs(theta_rows)
-    n_rows, m = vals.shape
-    w = np.full(m, 1.0 / m)
-    gains = np.zeros((n_rows, m + 1))
-    gains[:, :m] = vals**0.25
-    gprobs = np.concatenate((w / 2.0, [0.5]))
-    # row by row: a matrix-vector product sums in another order than w @ row
-    v_minus = np.array([0.5 * float(w @ row) for row in vals])
-    return _choquet_rows(gains, gprobs, w_plus) - v_minus
+    of equally weighted positions."""
+    m = theta_rows.shape[1]
+    v_plus, v_minus = _coin_sides(np.abs(theta_rows), np.full(m, 1.0 / m), w_plus)
+    return v_plus - v_minus
 
 
 @dataclass(frozen=True)
@@ -475,10 +465,8 @@ def ladder(
     radius = cfg.box_radius if cfg.box_radius is not None else 8.0
     rng = np.random.default_rng(cfg.seed)
 
-    values_of = _one_row_scalar(
-        lambda vals: float(coin_cpt_value(vals, w_plus=w_plus).v),
-        lambda block: _coin_cpt_rows(block, w_plus),
-    )
+    def values_of(block: np.ndarray) -> np.ndarray:
+        return _coin_cpt_rows(block, w_plus)
 
     def shift(base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         rows = np.empty((len(js), base.shape[-1]))
@@ -522,11 +510,7 @@ def perturbation_check(
     with P(A) the mass at the smallest nonzero magnitude a and P1 the mass
     strictly above it.
     """
-    vals = np.abs(np.asarray(theta_values, dtype=float))
-    if weights is None:
-        w = np.full(vals.size, 1.0 / vals.size)
-    else:
-        w = np.asarray(weights, dtype=float)
+    vals, w = _position_law(theta_values, weights)
     positive = vals > 0.0
     if not np.any(positive):
         raise ValidationError("argmax has no nonzero atom; nothing to perturb")

@@ -25,7 +25,7 @@ from cpttree import (
     tail_power_integral,
     terminal_wealth,
 )
-from cpttree.choquet import _choquet_arrays, _choquet_rows, _cpt_rows, cpt_value_from_outcomes
+from cpttree.choquet import _choquet_rows, _cpt_rows, cpt_value_from_outcomes
 from cpttree.extreal import ext_sub
 from cpttree.optimize import _coin_cpt_rows, coin_cpt_value
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
@@ -182,19 +182,43 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
+def reference_choquet(values, probs, w):
+    """The scalar Choquet kernel the row kernel replaced, kept as the oracle
+    of the bitwise tests: one lexsort into the canonical atom order, tie
+    masses merged, survival as a reversed cumulative sum, one ``np.sum``."""
+    if values.size == 0:
+        return 0.0
+    if np.any(values < 0.0):
+        raise ValidationError("choquet_nonneg requires nonnegative atom values")
+    order = np.lexsort((probs, values))
+    v = values[order]
+    p = probs[order]
+    distinct, start = np.unique(v, return_index=True)
+    mass = np.add.reduceat(p, start)
+    # rounding in the cumulative sum may push the total an ulp past 1
+    survival = np.minimum(np.cumsum(mass[::-1])[::-1], 1.0)
+    prev = np.concatenate(([0.0], distinct[:-1]))
+    return float(np.sum((distinct - prev) * np.asarray(w(survival), dtype=float)))
+
+
 class TestKernelProperties:
     @settings(max_examples=80, deadline=None)
     @given(LAWS)
     def test_row_kernel_matches_the_scalar_kernel_bitwise(self, case):
         seed, n, family, ties = case
-        values, probs = law_block(seed, n, ties, rows=6)
-        w = DISTORTIONS[family]
-        expected = [_choquet_arrays(row, probs, w) for row in values]
-        assert bits(_choquet_rows(values, probs, w)) == bits(expected)
-        # two distortions: the first half of the rows takes the first one
-        other = DISTORTIONS["tk"]
-        expected[3:] = [_choquet_arrays(row, probs, other) for row in values[3:]]
-        assert bits(_choquet_rows(values, probs, w, other)) == bits(expected)
+        w, other = DISTORTIONS[family], DISTORTIONS["tk"]
+        # blocks of three rows per distortion, and of one row, the shape of
+        # choquet_nonneg and cpt_value_from_outcomes; each with the drawn
+        # probabilities and with equal ones
+        for rows in (3, 1):
+            values, drawn = law_block(seed, n, ties, rows=2 * rows)
+            for probs in (drawn, np.full(n, 1.0 / n)):
+                expected = [reference_choquet(row, probs, w) for row in values]
+                assert bits(_choquet_rows(values, probs, w)) == bits(expected)
+                assert bits(_choquet_rows(values[:rows], probs, w)) == bits(expected[:rows])
+                # two distortions: the first half of the rows takes the first one
+                expected[rows:] = [reference_choquet(row, probs, other) for row in values[rows:]]
+                assert bits(_choquet_rows(values, probs, w, other)) == bits(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
@@ -205,11 +229,26 @@ class TestKernelProperties:
         outcomes[:, : n // 3] = np.round(outcomes[:, : n // 3], 1)
         probs = rng.uniform(0.1, 1.0, n)
         probs /= probs.sum()
-        expected = [cpt_value_from_outcomes(row, probs, pref).v for row in outcomes]
+        u, d = pref.utility, pref.distortion
+        expected = [
+            reference_choquet(np.asarray(u.u_plus(np.maximum(row, 0.0))), probs, d.plus)
+            - reference_choquet(np.asarray(u.u_minus(np.maximum(-row, 0.0))), probs, d.minus)
+            for row in outcomes
+        ]
         assert bits(_cpt_rows(outcomes, probs, pref)) == bits(expected)
+        assert bits([cpt_value_from_outcomes(row, probs, pref).v for row in outcomes]) == bits(
+            expected
+        )
         thetas = rng.uniform(-1.0, 1.0, (5, n))
-        expected = [coin_cpt_value(row).v for row in thetas]
-        assert bits(_coin_cpt_rows(thetas, Distortion.power(0.5))) == bits(expected)
+        sqrt, w = Distortion.power(0.5), np.full(n, 1.0 / n)
+        gprobs = np.append(w / 2.0, 0.5)  # the coin's losing half gains 0
+        expected = [
+            reference_choquet(np.append(np.abs(row) ** 0.25, 0.0), gprobs, sqrt)
+            - 0.5 * float(w @ np.abs(row))
+            for row in thetas
+        ]
+        assert bits(_coin_cpt_rows(thetas, sqrt)) == bits(expected)
+        assert bits([coin_cpt_value(row).v for row in thetas]) == bits(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(LAWS)
@@ -218,7 +257,7 @@ class TestKernelProperties:
         (x, bump), probs = dyadic_law_block(seed, n, ties, rows=2)
         w = DISTORTIONS[family]
         y = x + bump * (bump > 1.5)  # y >= x atom by atom, equal on about half
-        low, high = _choquet_arrays(x, probs, w), _choquet_arrays(y, probs, w)
+        low, high = _choquet_rows(np.stack((x, y)), probs, w)
         assert low <= high + 1e-12 * max(1.0, abs(high))
 
     @settings(max_examples=60, deadline=None)
@@ -230,8 +269,8 @@ class TestKernelProperties:
         # sorting both by one atom order makes them comonotone
         order = np.random.default_rng(seed).permutation(n)
         x[order], y[order] = np.sort(x), np.sort(y)
-        total = _choquet_arrays(x + y, probs, w)
-        parts = _choquet_arrays(x, probs, w) + _choquet_arrays(y, probs, w)
+        total, x_part, y_part = _choquet_rows(np.stack((x + y, x, y)), probs, w)
+        parts = x_part + y_part
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
 

@@ -119,6 +119,22 @@ class TestCoinModelValue:
             vm = cpt_value(coin_tree, PureStrategy.constant(coin_tree, -theta), 0.0, ref, pref)
             assert vp == vm
 
+    @pytest.mark.parametrize(
+        "thetas, weights, match",
+        [
+            ([1.0], [np.nan], "positive"),
+            ([np.nan], None, "finite"),
+            ([np.inf, 0.5], None, "finite"),
+            ([0.5, 0.5], [0.5, np.nan], "positive"),
+            (0.5, None, "flat"),
+            ([[0.5, 0.5]], None, "flat"),
+            ([], None, "at least one"),
+        ],
+    )
+    def test_malformed_input_is_rejected(self, thetas, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            coin_cpt_value(thetas, weights)
+
 
 class TestOptimizePure:
     def test_negative_seed_is_a_validation_error(self, coin_tree):
@@ -286,6 +302,14 @@ class TestPerturbation:
     def test_rejects_all_zero_atoms(self):
         with pytest.raises(ValidationError, match="nonzero"):
             perturbation_check([0.0, 0.0], deltas=[0.0])
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [([0.5], "match"), ([np.nan, 1.0], "positive"), ([0.7, 0.7], "sum to 1")],
+    )
+    def test_rejects_bad_weights(self, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            perturbation_check([0.5, 1.0], deltas=[0.1], weights=weights)
 
     def test_rejects_delta_beyond_smallest_atom(self):
         with pytest.raises(ValidationError, match="delta"):
