@@ -176,22 +176,20 @@ class OutcomeEngine:
         self.leaf_prob = tree.leaf_prob
         n_leaf = len(self.leaf_prob)
         self.benchmark = ref.benchmark_array(tree) if ref is not None else np.zeros(n_leaf)
-        self.matrix = np.empty((tree.horizon, tree.asset_dim, n_leaf))
+        # matrix[t, :, j] is the increment at depth t+1 on leaf j's path
+        self.matrix = np.ascontiguousarray(tree.increment_matrix[tree.paths[1:]].transpose(0, 2, 1))
+        # a node's leaves are the run of it in its row of the path table
+        rows = tree.paths[:-1]
+        first = np.ones(rows.shape, dtype=bool)
+        first[:, 1:] = rows[:, 1:] != rows[:, :-1]
         lo = np.empty(tree.n_nodes, dtype=int)
-        hi = np.empty(tree.n_nodes, dtype=int)
-        parent = np.asarray(tree.parent)
-        below = tree.leaf_ids
-        for t in range(tree.horizon - 1, -1, -1):
-            self.matrix[t] = tree.increment_matrix[below].T
-            below = parent[below]  # each leaf's ancestor at depth t
-            starts = np.flatnonzero(np.r_[True, below[1:] != below[:-1]])
-            lo[below[starts]] = starts
-            hi[below[starts]] = np.r_[starts[1:], n_leaf]
+        lo[rows[first]] = np.nonzero(first)[1]
+        size = np.bincount(rows.ravel(), minlength=tree.n_nodes)
         # per variable: its leaf count, and the flat positions where its
         # increments start in ``matrix`` and its leaves start in an outcome row
         nodes = np.repeat(np.asarray(tree.nonterminal_ids), tree.asset_dim)
         comps = np.tile(np.arange(tree.asset_dim), len(tree.nonterminal_ids))
-        self._size = hi[nodes] - lo[nodes]
+        self._size = size[nodes]
         column = (np.asarray(tree.depth)[nodes] * tree.asset_dim + comps) * n_leaf + lo[nodes]
         self._starts = np.stack([column, lo[nodes]])
 
@@ -199,9 +197,7 @@ class OutcomeEngine:
         """Outcomes of one flat allocation vector, or of several stacked end to
         end (a mixture's atoms), concatenated in the same order."""
         per_atom = np.reshape(flat_theta, (-1, len(self.tree.nonterminal_ids), self.tree.asset_dim))
-        return np.concatenate(
-            [leaf_wealth(self.tree, theta, x0) - self.benchmark for theta in per_atom]
-        )
+        return (leaf_wealth(self.tree, per_atom, x0) - self.benchmark).ravel()
 
     def shift(self, base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """Copies of ``base``, one outcome vector or one row per move, row k
@@ -230,8 +226,9 @@ def _strategy_outcome_law(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product law of the external mixing atom and the tree scenario."""
     atoms = _atoms(strategy)
-    outs = [leaf_wealth(tree, pure.as_matrix(tree), x0) - benchmark for _, pure in atoms]
-    return np.concatenate(outs), np.concatenate([w * tree.leaf_prob for w, _ in atoms])
+    thetas = np.stack([pure.as_matrix(tree) for _, pure in atoms])
+    outs = leaf_wealth(tree, thetas, x0) - benchmark
+    return outs.ravel(), np.concatenate([w * tree.leaf_prob for w, _ in atoms])
 
 
 def _cpt_sides(
@@ -336,22 +333,15 @@ def aux_value(
     plus  = k+~ E(1 + |x0 + sum (theta-phi) dS|^(lam alpha+)) and
     minus = k-~ (E [x0 + sum (theta-phi) dS - b]_-^alpha-  - 1).
     """
-    phi = aux.subhedge.as_matrix(tree)
+    atoms = _atoms(strategy)
+    thetas = np.stack([pure.as_matrix(tree) for _, pure in atoms])
+    wealth = leaf_wealth(tree, thetas - aux.subhedge.as_matrix(tree), x0)
     lam_ap = aux.lam * pref.utility.alpha_plus
-    am = pref.utility.alpha_minus
-
-    def parts(pure: PureStrategy) -> tuple[float, float]:
-        w = leaf_wealth(tree, pure.as_matrix(tree) - phi, x0)
-        p = tree.leaf_prob
-        plus = float(p @ (1.0 + np.abs(w) ** lam_ap))
-        minus = float(p @ np.maximum(aux.floor - w, 0.0) ** am)
-        return plus, minus
-
+    p = tree.leaf_prob
     plus = minus = 0.0
-    for weight, pure in _atoms(strategy):
-        pl, mi = parts(pure)
-        plus += weight * pl
-        minus += weight * mi
+    for (weight, _), w in zip(atoms, wealth):
+        plus += weight * float(p @ (1.0 + np.abs(w) ** lam_ap))
+        minus += weight * float(p @ np.maximum(aux.floor - w, 0.0) ** pref.utility.alpha_minus)
     v_plus = aux.k_plus_tilde * plus
     v_minus = aux.k_minus_tilde * (minus - 1.0)
     return v_plus, v_minus, v_plus - v_minus
@@ -359,8 +349,8 @@ def aux_value(
 
 def tail_power_integral(c: float, e: float) -> ExtReal:
     """int_1^inf c / y^e dy: c/(e-1) when e > 1, +inf otherwise."""
-    if c <= 0 or e <= 0:
-        raise ValidationError("tail_power_integral needs c > 0 and e > 0")
+    if not (0.0 < c < np.inf and 0.0 < e < np.inf):  # NaN fails too
+        raise ValidationError("tail_power_integral needs finite c > 0 and e > 0")
     if e > 1.0:
         return c / (e - 1.0)
     return POS_INF
@@ -379,8 +369,8 @@ def moment_tail_certificate(moments: Mapping[int, float], delta: float) -> float
         raise ValidationError("insufficient moments: need some N with N * delta > 1")
     n = admissible[0]
     m = float(moments[n])
-    if m < 0:
-        raise ValidationError("moments must be nonnegative")
+    if not 0.0 <= m < np.inf:  # NaN fails too
+        raise ValidationError("moments must be finite and nonnegative")
     return 1.0 + m**delta / (n * delta - 1.0)
 
 

@@ -33,10 +33,11 @@ class SearchConfig:
     max_box_doublings: int = 6
 
     def __post_init__(self) -> None:
-        if self.box_radius is not None and self.box_radius <= 0:
-            raise ValidationError("box_radius must be positive")
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        # the chained comparisons fail on NaN too
+        if self.box_radius is not None and not 0.0 < self.box_radius < np.inf:
+            raise ValidationError("box_radius must be positive and finite")
+        if not 0.0 < self.tol < np.inf:
+            raise ValidationError("tol must be positive and finite")
         if self.multistart < 1:
             raise ValidationError("multistart must be >= 1")
         if self.seed < 0:
@@ -202,19 +203,6 @@ def _lockstep(
             answer(k, (block[a : a + c], values[a : a + c]))
             a += c
     return results
-
-
-def _compass(
-    values_of: Callable[[np.ndarray], np.ndarray],
-    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    z0: np.ndarray,
-    state0: np.ndarray,
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    """The poll from one start."""
-    return _lockstep(values_of, shift, [z0], state0[None], lo, hi, tol)[0]
 
 
 def _multistart(

@@ -53,20 +53,26 @@ class ScenarioTree:
             raise ValidationError("parent, prob and increments must have equal length")
         if n == 0 or self.parent[0] != -1:
             raise ValidationError("node 0 must be the root with parent -1")
-        for i in range(1, n):
-            if not 0 <= self.parent[i] < i:
-                raise ValidationError(f"node {i}: parent must precede the node")
-        for i, p in enumerate(self.prob):
-            if i == 0:
-                if p != 1.0:
-                    raise ValidationError("root probability must be 1")
-            elif not 0.0 < p <= 1.0:
-                raise ValidationError(f"node {i}: probability {p} outside (0, 1]")
-        for i, ds in enumerate(self.increments):
-            if len(ds) != self.asset_dim:
-                raise ValidationError(f"node {i}: increment dimension != {self.asset_dim}")
-            if not all(np.isfinite(ds)):
-                raise ValidationError(f"node {i}: non-finite increment")
+        # the first bad node of each check, in id order
+        parent = np.asarray(self.parent)
+        early = np.flatnonzero((parent[1:] < 0) | (parent[1:] >= np.arange(1, n))) + 1
+        if early.size:
+            raise ValidationError(f"node {early[0]}: parent must precede the node")
+        if self.prob[0] != 1.0:
+            raise ValidationError("root probability must be 1")
+        p = self.prob_array
+        outside = np.flatnonzero(~((p[1:] > 0.0) & (p[1:] <= 1.0))) + 1
+        if outside.size:
+            i = outside[0]
+            raise ValidationError(f"node {i}: probability {self.prob[i]} outside (0, 1]")
+        wrong = np.flatnonzero(np.fromiter(map(len, self.increments), int, n) != self.asset_dim)
+        k = wrong[0] if wrong.size else n
+        incs = self.increment_matrix if k == n else np.array(self.increments[:k], dtype=float)
+        infinite = np.flatnonzero(~np.isfinite(incs.reshape(k, self.asset_dim)).all(axis=1))
+        if infinite.size:
+            raise ValidationError(f"node {infinite[0]}: non-finite increment")
+        if k < n:
+            raise ValidationError(f"node {k}: increment dimension != {self.asset_dim}")
         if self.states is not None:
             if len(self.states) != n:
                 raise ValidationError("states must cover every node")
@@ -148,17 +154,24 @@ class ScenarioTree:
                 yield rows, kids[first[nodes[rows]][:, None] + np.arange(width)]
 
     @cached_property
-    def leaf_ids(self) -> np.ndarray:
-        """Leaves in depth-first order, so the leaves below any node are one
-        contiguous range; for level-by-level ids this is id order."""
-        # sort the leaves by their ancestor ids, the depth-1 ancestor first
+    def paths(self) -> np.ndarray:
+        """The (T+1, leaves) path table: column j is the path from the root to
+        leaf j, row t its nodes at depth t. The leaves are in depth-first
+        order, so the leaves below any node are one run of its row."""
         parent = np.asarray(self.parent)
-        keys = [np.flatnonzero(self.depth == self.horizon)]
-        for _ in range(self.horizon - 1):
-            keys.append(parent[keys[-1]])
-        ids = keys[0][np.lexsort(keys)]
-        ids.flags.writeable = False
-        return ids
+        rows = [np.flatnonzero(self.depth == self.horizon)]
+        for _ in range(self.horizon):
+            rows.append(parent[rows[-1]])
+        table = np.stack(rows[::-1])
+        # sort the paths by their nodes, the depth-1 node first
+        table = table[:, np.lexsort(rows[:-1])]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def leaf_ids(self) -> np.ndarray:
+        """Leaves in depth-first order; for level-by-level ids this is id order."""
+        return self.paths[-1]
 
     @cached_property
     def nonterminal_ids(self) -> np.ndarray:
@@ -183,8 +196,8 @@ class ScenarioTree:
     def path_prob(self) -> np.ndarray:
         """Probability of reaching each node (product of branch probabilities)."""
         p = np.ones(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            p[i] = p[self.parent[i]] * self.prob[i]
+        for up, nodes in zip(self.paths, self.paths[1:]):
+            p[nodes] = p[up] * self.prob_array[nodes]
         p.flags.writeable = False
         return p
 
@@ -307,22 +320,20 @@ class ReferenceSpec:
 
 def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
     """Terminal wealth in ``leaf_ids`` order for allocations stacked in
-    nonterminal-id order: x0 plus the path sum of allocation.increment.
+    nonterminal-id order: x0 plus the path sum of allocation.increment. A
+    stack of such allocations, (A, nodes, d), gives one row of leaves each.
 
-    The pass runs level by level; each node adds one row dot product to its
-    parent's wealth, the same sum as a node-by-node recursion.
+    Every non-root node's row dot product is one stacked matmul; the sums
+    then fold down ``tree.paths`` from the root, the same order as a
+    node-by-node recursion.
     """
-    parent = np.asarray(tree.parent)
-    depth = tree.depth
-    wealth = np.empty(tree.n_nodes)
-    wealth[0] = float(x0)
-    for t in range(1, tree.horizon + 1):
-        nodes = np.flatnonzero(depth == t)
-        up = parent[nodes]
-        rows = theta[np.searchsorted(tree.nonterminal_ids, up)]
-        dots = np.matmul(rows[:, None, :], tree.increment_matrix[nodes][:, :, None])
-        wealth[nodes] = wealth[up] + dots[:, 0, 0]
-    return wealth[tree.leaf_ids]
+    up = np.searchsorted(tree.nonterminal_ids, tree.parent[1:])
+    rows = np.asarray(theta)[..., up, :]
+    dots = np.matmul(rows[..., None, :], tree.increment_matrix[1:, :, None])[..., 0, 0]
+    wealth = float(x0)
+    for nodes in tree.paths[1:]:
+        wealth = wealth + dots[..., nodes - 1]
+    return wealth
 
 
 def terminal_wealth(tree: ScenarioTree, strategy: PureStrategy, x0: float) -> dict[int, float]:

@@ -89,8 +89,8 @@ def two_step_example(pref: PreferenceSpec, ell: float) -> IllposednessReport:
     tails reduce to power integrals with exponents ell*gamma/alpha on each
     side; the verdict splits on which exponents exceed 1.
     """
-    if ell <= 0:
-        raise ValidationError("ell must be positive")
+    if not 0.0 < ell < math.inf:  # NaN fails too
+        raise ValidationError("ell must be positive and finite")
     ap, am, gp, gm, km = _power_power_params(pref)
     v_plus = tail_power_integral(2.0 ** (-gp), ell * gp / ap)
     v_minus_base = tail_power_integral(2.0 ** (-gm), ell * gm / am)
@@ -117,14 +117,14 @@ def truncation_scan(pref: PreferenceSpec, ell: float, n_list: Sequence[float]) -
     The capped law keeps the y^-ell survival up to n with an atom at n, so
     each side is the [0, 1] band plus an incomplete power integral.
     """
-    if ell <= 0:
-        raise ValidationError("ell must be positive")
+    if not 0.0 < ell < math.inf:  # NaN fails too
+        raise ValidationError("ell must be positive and finite")
     ap, am, gp, gm, km = _power_power_params(pref)
     rows = []
     for n in n_list:
         n = float(n)
-        if n < 1.0:
-            raise ValidationError("truncation levels must be >= 1")
+        if not 1.0 <= n < math.inf:
+            raise ValidationError("truncation levels must be finite and >= 1")
         v_plus = 2.0 ** (-gp) * (1.0 + _incomplete_power(ell * gp / ap, ap, n))
         v_minus = km * 2.0 ** (-gm) * (1.0 + _incomplete_power(ell * gm / am, am, n))
         rows.append(ScanRow(n=n, v_plus=v_plus, v_minus=v_minus, v=v_plus - v_minus))
@@ -143,8 +143,8 @@ def one_step_scaling(pref: PreferenceSpec, p: float, n: float) -> float:
     w_plus(p) n^alpha_plus - k w_minus(1-p) n^alpha_minus."""
     if not 0.0 < p < 1.0:
         raise ValidationError("p must lie in (0, 1)")
-    if n < 0.0:
-        raise ValidationError("n must be >= 0")
+    if not 0.0 <= n < math.inf:
+        raise ValidationError("n must be finite and >= 0")
     ut, dist = pref.utility, pref.distortion
     gain = float(dist.plus(p)) * n**ut.alpha_plus
     loss = ut.k_minus * float(dist.minus(1.0 - p)) * n**ut.alpha_minus
@@ -159,8 +159,8 @@ def two_step_uniform_market(n_atoms: int) -> ScenarioTree:
 
 def heavy_tail_strategy(tree: ScenarioTree, ell: float, cap: float) -> PureStrategy:
     """theta_1 = 0 and theta_2 = min((2/(1-x))^(1/ell), cap) with x the first increment."""
-    if ell <= 0 or cap <= 0:
-        raise ValidationError("need ell > 0 and cap > 0")
+    if not (0.0 < ell < math.inf and cap > 0.0):  # NaN fails too
+        raise ValidationError("need finite ell > 0 and cap > 0")
     if tree.horizon != 2 or tree.asset_dim != 1:
         raise ValidationError("heavy-tail strategy is defined on two-period single-asset trees")
     alloc: dict[int, tuple[float, ...]] = {0: (0.0,)}
@@ -215,8 +215,9 @@ def boundedness_probe(
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")
     radii = [float(r) for r in box_radii]
-    if not radii or any(r < 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValidationError("box_radii must be increasing and nonnegative")
+    increasing = all(a < b for a, b in zip(radii, radii[1:]))  # NaN fails too
+    if not (radii and increasing and all(0.0 <= r < math.inf for r in radii)):
+        raise ValidationError("box_radii must be increasing, finite and nonnegative")
     cfg = cfg or SearchConfig()
     points: list[tuple[float, float]] = []
     prev: list[PureStrategy] = []

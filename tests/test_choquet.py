@@ -417,6 +417,19 @@ class TestTailIntegrals:
         with pytest.raises(ValidationError):
             tail_power_integral(1.0, -1.0)
 
+    @pytest.mark.parametrize("c,e", [(1.0, float("nan")), (float("nan"), 2.0),
+                                     (float("inf"), 2.0), (1.0, float("inf"))])
+    def test_rejects_non_finite(self, c, e):
+        # a NaN exponent used to come back as +inf
+        with pytest.raises(ValidationError, match="finite"):
+            tail_power_integral(c, e)
+
+    @pytest.mark.parametrize("moment", [float("nan"), float("inf")])
+    def test_moment_certificate_rejects_non_finite(self, moment):
+        # a NaN moment used to come back as a NaN bound
+        with pytest.raises(ValidationError, match="finite"):
+            moment_tail_certificate({2: moment}, 0.75)
+
 
 class TestMomentTail:
     def test_direct_bound(self):

@@ -98,7 +98,7 @@ def speculative(f, z0, lo=-1.0, hi=1.0, tol=1e-9):
         sizes.append(len(block))
         return np.array([f(row) for row in block])
 
-    return optimize._compass(values_of, row_shift, z0, z0.copy(), lo, hi, tol), sizes
+    return optimize._multistart(values_of, row_shift, np.copy, [z0], lo, hi, tol), sizes
 
 
 def both(f, z0, **box):

@@ -146,6 +146,18 @@ class TestOptimizePure:
         with pytest.raises(ValidationError, match="seed"):
             ladder(1, SearchConfig(seed=-1))
 
+    @pytest.mark.parametrize("field", ["box_radius", "tol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_box_or_tol_is_a_validation_error(self, coin_tree, field, bad):
+        # NaN slipped past ``<= 0``: tol=nan never polled and box_radius=nan overflowed
+        with pytest.raises(ValidationError, match=field):
+            optimize_pure(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
+                SearchConfig(**{field: bad}),
+            )
+        with pytest.raises(ValidationError, match=field):
+            ladder(1, SearchConfig(**{field: bad}))
+
     def test_coin_model_finds_quarter(self, coin_tree):
         strat, val = optimize_pure(
             coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),

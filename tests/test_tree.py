@@ -121,6 +121,45 @@ def ref_family_error(horizon, parent, prob):
     return None
 
 
+def ref_node_error(asset_dim, parent, prob, increments):
+    """The message of the per-node parent, probability and increment checks, or None."""
+    for i in range(1, len(parent)):
+        if not 0 <= parent[i] < i:
+            return f"node {i}: parent must precede the node"
+    for i, p in enumerate(prob):
+        if i == 0:
+            if p != 1.0:
+                return "root probability must be 1"
+        elif not 0.0 < p <= 1.0:
+            return f"node {i}: probability {p} outside (0, 1]"
+    for i, ds in enumerate(increments):
+        if len(ds) != asset_dim:
+            return f"node {i}: increment dimension != {asset_dim}"
+        if not all(np.isfinite(ds)):
+            return f"node {i}: non-finite increment"
+    return None
+
+
+def malformed(rng, parent, prob, incs):
+    """Copies of a tree's columns with a few random nodes broken."""
+    parent, prob, incs = list(parent), list(prob), list(incs)
+    n, d = len(parent), len(incs[0])
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(0, n))
+        kind = int(rng.integers(0, 3))
+        if kind == 0 and i > 0:
+            parent[i] = int(rng.choice([-2, -1, i, i + 1, n + 3]))
+        elif kind == 1:
+            prob[i] = float(rng.choice([0.0, -0.25, 1.5, np.nan, np.inf, 0.5]))
+        elif rng.random() < 0.5:
+            incs[i] = tuple(rng.uniform(-1.0, 1.0, int(rng.choice([0, d - 1, d + 1]))))
+        elif incs[i]:
+            vec = list(incs[i])
+            vec[int(rng.integers(0, len(vec)))] = float(rng.choice([np.nan, np.inf, -np.inf]))
+            incs[i] = tuple(vec)
+    return parent, prob, incs
+
+
 class TestTreeValidation:
     def test_children_probabilities_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="children probabilities"):
@@ -181,11 +220,37 @@ class TestTreeValidation:
                 assert tree.children == ref[0]
                 assert tree.nonterminal_ids.tolist() == ref[1]
                 assert tree.depth.tolist() == ref[2]
+                reach = [1.0]
+                for i in range(1, n):
+                    reach.append(reach[parent[i]] * prob[i])
+                assert tree.path_prob.tolist() == reach
             else:
                 with pytest.raises(ValidationError) as err:
                     ScenarioTree(**kwargs)
                 assert str(err.value) == expected
         assert len(seen) == 4  # valid trees and each kind of error
+        # broken parents, probabilities and increments: the first bad node
+        # and its message are those of the per-node checks, which run before
+        # the family check
+        seen = set()
+        for _ in range(400):
+            n = int(rng.integers(2, 30))
+            d = int(rng.integers(1, 4))
+            parent = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+            prob = [1.0] + rng.uniform(0.01, 1.0, n - 1).tolist()
+            incs = [(0.0,) * d] + [tuple(v) for v in rng.uniform(-1.0, 1.0, (n - 1, d))]
+            parent, prob, incs = malformed(rng, parent, prob, incs)
+            expected = ref_node_error(d, parent, prob, incs)
+            if expected is None:
+                continue
+            seen.add(expected.split(":")[-1][:12])
+            with pytest.raises(ValidationError) as err:
+                ScenarioTree(
+                    horizon=3, asset_dim=d, parent=tuple(parent), prob=tuple(prob),
+                    increments=tuple(incs),
+                )
+            assert str(err.value) == expected
+        assert len(seen) == 5  # each kind of per-node error
 
     def test_families_come_in_equal_size_blocks(self, monkeypatch):
         from cpttree import tree as tree_module

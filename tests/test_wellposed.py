@@ -62,6 +62,14 @@ class TestTwoStepExample:
         with pytest.raises(ValidationError):
             two_step_example(FLAT, ell=0.0)
 
+    @pytest.mark.parametrize("ell", [float("nan"), float("inf")])
+    def test_rejects_non_finite_ell(self, ell):
+        # NaN used to give an inconclusive report with both sides +inf
+        with pytest.raises(ValidationError, match="finite"):
+            two_step_example(FLAT, ell)
+        with pytest.raises(ValidationError, match="finite"):
+            truncation_scan(FLAT, ell, [10.0])
+
     def test_rejects_tk_distortions(self):
         with pytest.raises(ValidationError, match="power"):
             two_step_example(tversky_kahneman_preferences(), ell=1.5)
@@ -118,6 +126,19 @@ class TestTruncationScan:
         with pytest.raises(ValidationError):
             truncation_scan(FLAT, 2.0, [0.5])
 
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    def test_rejects_non_finite_caps(self, n):
+        with pytest.raises(ValidationError, match="finite"):
+            truncation_scan(ILL, 1.5, [10.0, n])
+
+    @pytest.mark.parametrize(
+        "ell,cap", [(float("nan"), 2.0), (float("inf"), 2.0), (1.0, float("nan"))]
+    )
+    def test_heavy_tail_strategy_rejects_non_finite(self, ell, cap):
+        # a NaN exponent or cap used to come back as NaN allocations
+        with pytest.raises(ValidationError):
+            heavy_tail_strategy(two_step_uniform_market(3), ell, cap)
+
     def test_illposed_demo_report_carries_scan(self):
         report, rows = illposed_demo(ILL, 1.5, [10.0, 100.0])
         assert report.scan == tuple((r.n, r.v) for r in rows)
@@ -166,6 +187,12 @@ class TestOneStepScaling:
     def test_rejects_degenerate_probability(self):
         with pytest.raises(ValidationError):
             one_step_scaling(FLAT, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    def test_rejects_non_finite_position(self, n):
+        # NaN used to come back as the value
+        with pytest.raises(ValidationError, match="finite"):
+            one_step_scaling(FLAT, 0.5, n)
 
 
 class TestBoundednessProbe:
@@ -224,4 +251,11 @@ class TestBoundednessProbe:
             boundedness_probe(
                 coin_tree, coin_model_preferences(), 0.0,
                 ReferenceSpec.zero(coin_tree), [2.0, 1.0],
+            )
+
+    @pytest.mark.parametrize("radii", [[float("nan")], [1.0, float("inf")]])
+    def test_radii_must_be_finite(self, coin_tree, radii):
+        with pytest.raises(ValidationError, match="finite"):
+            boundedness_probe(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), radii
             )
