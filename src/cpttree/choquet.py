@@ -23,6 +23,7 @@ from .tree import (
     ReferenceSpec,
     ScenarioTree,
     Strategy,
+    finite_capital,
     leaf_wealth,
 )
 
@@ -55,61 +56,90 @@ class DiscreteRV:
         return a[:, 0], a[:, 1]
 
 
-def _choquet_rows(values: np.ndarray, probs: np.ndarray, *ws: Callable) -> np.ndarray:
+# cells of the longest zero-stride view of one float numpy allows
+_MAX_CELLS = np.iinfo(np.intp).max // 8
+
+
+class _Law:
+    """What the row kernel needs of the L probabilities, computed once per law:
+    the column positions and whether the probabilities are all equal; if so
+    the common probability repeated for every cell of any block (a
+    zero-stride view), otherwise the columns in stable probability order
+    and the probabilities in that order. A search builds it once; the
+    kernel builds it for a plain array."""
+
+    __slots__ = ("cols", "equal", "repeated", "by_prob", "sorted")
+
+    def __init__(self, probs: np.ndarray):
+        probs = np.asarray(probs, dtype=float)
+        self.cols = np.arange(probs.size)
+        self.equal = probs.size > 0 and bool((probs == probs[0]).all())
+        self.repeated = np.broadcast_to(probs[0], (_MAX_CELLS,)) if self.equal else None
+        self.by_prob = None if self.equal else probs.argsort(kind="stable")
+        self.sorted = None if self.equal else probs[self.by_prob]
+
+
+def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> np.ndarray:
     """Distorted survival integral of each row of a (K, L) block of
-    nonnegative atom values sharing the L probabilities. With several
-    distortions the rows fall into as many equal consecutive blocks, block i
-    distorted by ``ws[i]``, so the gain and loss sides of an outcome block
-    share one call.
+    nonnegative atom values sharing the L probabilities of ``law``. With
+    several distortions the rows fall into as many equal consecutive blocks,
+    block i distorted by ``ws[i]``, so the gain and loss sides of an outcome
+    block share one call.
 
     Each row is put in the canonical atom order (by value, ties by
     probability, then by position): with equal probabilities a plain sort of
     the values is that order; otherwise the columns go in probability order,
-    each row is sorted by value and runs of equal values are re-sorted by
-    column. One flat ``reduceat`` merges the tie masses, suffix sums are
+    each row is sorted by value and runs of equal values are re-sorted
+    stably. One flat ``reduceat`` merges the tie masses, suffix sums are
     sequential cumulative sums of each reversed row, the distortion and the
     products are elementwise. numpy sums pairwise: a row of fewer than eight
     terms is a left fold, which zero padding keeps, so those rows are summed
     as one padded block; longer rows are summed one by one.
+
+    The probability order, the equal-probability test, the repeated common
+    probability and the column positions depend on the law alone and come
+    from ``law``, built once per search. Everything handed to a distortion is a contiguous slice: numpy's
+    power can round a strided view differently in the last bit.
     """
+    if not isinstance(law, _Law):
+        law = _Law(law)
     n_rows, n_cols = values.shape
-    if n_cols == 0:
+    if values.size == 0:
         return np.zeros(n_rows)
-    if (values < 0.0).any():
+    if np.count_nonzero(values < 0.0):
         raise ValidationError("choquet_nonneg requires nonnegative atom values")
-    equal_probs = (probs == probs[0]).all()
-    if equal_probs:
+    if law.equal:
         v = np.sort(values, axis=1)
     else:
-        by_prob = probs.argsort(kind="stable")
-        v = values[:, by_prob]
-        order = v.argsort(axis=1)
-        row_ix = np.arange(n_rows)[:, None]
-        v = v[row_ix, order]
+        by_prob = values[:, law.by_prob]
+        order = by_prob.argsort(axis=1)
+        v = by_prob[np.arange(n_rows)[:, None], order]
     new = np.empty(v.shape, dtype=bool)
     new[:, 0] = True
     np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
     starts = new.ravel().nonzero()[0]
     distinct = v.ravel()[starts]
-    if equal_probs:
-        p = np.broadcast_to(probs[0], (v.size,))
+    if law.equal:
+        p = law.repeated[: v.size]
     else:
         if starts.size < v.size:
-            order = order[row_ix, (new.cumsum(axis=1) * n_cols + order).argsort(axis=1)]
-        p = probs[by_prob[order]].ravel()
+            order = by_prob.argsort(axis=1, kind="stable")
+        p = law.sorted[order].ravel()
     mass = np.add.reduceat(p, starts)
     counts = new.sum(axis=1)
     first = counts.cumsum() - counts
+    width = int(counts.max())
     # rows as the leading cells of a zero-padded block, in row-major order
-    cells = np.arange(counts.max()) < counts[:, None]
+    cells = law.cols[:width] < counts[:, None]
     back = cells[::-1]
     padded = np.zeros(cells.shape)
     padded[back] = mass[::-1]
     survival = np.minimum(padded.cumsum(axis=1)[back][::-1], 1.0)
-    cuts = [0, *first[n_rows // len(ws) * np.arange(1, len(ws))].tolist(), survival.size]
-    weights = np.concatenate(
-        [np.asarray(w(survival[a:b]), dtype=float) for w, a, b in zip(ws, cuts, cuts[1:])]
-    )
+    per_w = n_rows // len(ws)
+    cuts = [0, *(int(first[i * per_w]) for i in range(1, len(ws))), starts.size]
+    weights = np.empty(starts.size)
+    for w, a, b in zip(ws, cuts, cuts[1:]):
+        weights[a:b] = w(survival[a:b])
     prev = np.empty_like(distinct)
     prev[1:] = distinct[:-1]
     prev[first] = 0.0
@@ -117,8 +147,9 @@ def _choquet_rows(values: np.ndarray, probs: np.ndarray, *ws: Callable) -> np.nd
     padded = np.zeros(cells.shape)
     padded[cells] = terms
     out = padded[:, :7].sum(axis=1)
-    for r in np.flatnonzero(counts >= 8):
-        out[r] = terms[first[r] : first[r] + counts[r]].sum()
+    if width >= 8:
+        for r in np.flatnonzero(counts >= 8):
+            out[r] = terms[first[r] : first[r] + counts[r]].sum()
     return out
 
 
@@ -189,9 +220,10 @@ class OutcomeEngine:
         # increments start in ``matrix`` and its leaves start in an outcome row
         nodes = np.repeat(np.asarray(tree.nonterminal_ids), tree.asset_dim)
         comps = np.tile(np.arange(tree.asset_dim), len(tree.nonterminal_ids))
-        self._size = size[nodes]
         column = (np.asarray(tree.depth)[nodes] * tree.asset_dim + comps) * n_leaf + lo[nodes]
-        self._starts = np.stack([column, lo[nodes]])
+        self._vars = np.stack([size[nodes], column, lo[nodes]])
+        # the same per variable of each stacked atom, by outcome row width
+        self._moves = {n_leaf: self._vars}
 
     def outcomes(self, flat_theta: np.ndarray, x0: float) -> np.ndarray:
         """Outcomes of one flat allocation vector, or of several stacked end to
@@ -203,16 +235,26 @@ class OutcomeEngine:
         """Copies of ``base``, one outcome vector or one row per move, row k
         with variable js[k] moved by deltas[k]; a variable counts on across
         stacked atoms as in ``outcomes``. All moves are one flat add."""
-        rows = np.empty((len(js), np.shape(base)[-1]))
+        n_moves, width = len(js), base.shape[-1]
+        rows = np.empty((n_moves, width))
         rows[:] = base
-        atom, var = np.divmod(js, self.n_vars)
-        size = self._size[var]
+        if not n_moves:
+            return rows
+        moves = self._moves.get(width)
+        if moves is None:  # first shift of outcomes stacked from several atoms
+            n_atoms = width // len(self.leaf_prob)
+            moves = np.tile(self._vars, n_atoms)
+            moves[2] += np.repeat(np.arange(n_atoms) * len(self.leaf_prob), self.n_vars)
+            self._moves[width] = moves
+        moved = moves[:, js]
+        size = moved[0]
         # move k adds size[k] consecutive floats of the flat matrix to size[k]
         # consecutive cells of the flat rows; with the runs laid end to end,
         # entry i of either index is its run's offset plus i
-        offsets = self._starts[:, var] - (size.cumsum() - size)
-        offsets[1] += np.arange(len(js)) * rows.shape[1] + atom * len(self.leaf_prob)
-        src, dst = np.repeat(offsets, size, axis=1) + np.arange(size.sum())
+        end = size.cumsum()
+        offsets = moved[1:] + (size - end)
+        offsets[1] += np.arange(0, n_moves * width, width)
+        src, dst = np.repeat(offsets, size, axis=1) + np.arange(end[-1])
         rows.reshape(-1)[dst] += np.repeat(deltas, size) * self.matrix.reshape(-1)[src]
         return rows
 
@@ -232,14 +274,14 @@ def _strategy_outcome_law(
 
 
 def _cpt_sides(
-    outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec
+    outcomes: np.ndarray, law: _Law | np.ndarray, pref: PreferenceSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gain and loss sides of every row of a (K, L) outcome block, from one
     kernel call."""
     gains = np.asarray(pref.utility.u_plus(np.maximum(outcomes, 0.0)), dtype=float)
     losses = np.asarray(pref.utility.u_minus(np.maximum(-outcomes, 0.0)), dtype=float)
     both = _choquet_rows(
-        np.concatenate((gains, losses)), probs, pref.distortion.plus, pref.distortion.minus
+        np.concatenate((gains, losses)), law, pref.distortion.plus, pref.distortion.minus
     )
     return both[: len(outcomes)], both[len(outcomes) :]
 
@@ -252,9 +294,9 @@ def cpt_value_from_outcomes(
     return CPTValue.from_parts(float(v_plus), float(v_minus))
 
 
-def _cpt_rows(outcomes: np.ndarray, probs: np.ndarray, pref: PreferenceSpec) -> np.ndarray:
+def _cpt_rows(outcomes: np.ndarray, law: _Law | np.ndarray, pref: PreferenceSpec) -> np.ndarray:
     """CPT value of every row of a (K, L) outcome block."""
-    v_plus, v_minus = _cpt_sides(outcomes, probs, pref)
+    v_plus, v_minus = _cpt_sides(outcomes, law, pref)
     return v_plus - v_minus
 
 
@@ -270,7 +312,8 @@ def cpt_value(
     Randomized strategies are evaluated on the product law of the external
     mixing atom and the tree scenario.
     """
-    outs, probs = _strategy_outcome_law(tree, strategy, x0, ref.benchmark_array(tree))
+    benchmark = ref.benchmark_array(tree)
+    outs, probs = _strategy_outcome_law(tree, strategy, finite_capital(x0), benchmark)
     return cpt_value_from_outcomes(outs, probs, pref)
 
 
@@ -335,7 +378,7 @@ def aux_value(
     """
     atoms = _atoms(strategy)
     thetas = np.stack([pure.as_matrix(tree) for _, pure in atoms])
-    wealth = leaf_wealth(tree, thetas - aux.subhedge.as_matrix(tree), x0)
+    wealth = leaf_wealth(tree, thetas - aux.subhedge.as_matrix(tree), finite_capital(x0))
     lam_ap = aux.lam * pref.utility.alpha_plus
     p = tree.leaf_prob
     plus = minus = 0.0

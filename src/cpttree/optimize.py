@@ -9,17 +9,18 @@ deterministic given the seed. No global-optimality claim is made.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .choquet import CPTValue, OutcomeEngine, _choquet_rows, _cpt_rows, cpt_value
+from .choquet import CPTValue, OutcomeEngine, _choquet_rows, _cpt_rows, _Law, cpt_value
 from .choquet import cpt_value_from_outcomes  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .errors import ValidationError
 from .preferences import Distortion, PreferenceSpec
-from .tree import PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree
+from .tree import PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree, finite_capital
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,20 @@ class SearchConfig:
             raise ValidationError("box_radius must be positive and finite")
         if not 0.0 < self.tol < np.inf:
             raise ValidationError("tol must be positive and finite")
-        if self.multistart < 1:
+        if _count(self.multistart, "multistart") < 1:
             raise ValidationError("multistart must be >= 1")
-        if self.seed < 0:
+        if _count(self.seed, "seed") < 0:
             raise ValidationError("seed must be >= 0")
+        if _count(self.max_box_doublings, "max_box_doublings") < 0:
+            raise ValidationError("max_box_doublings must be >= 0")
+
+
+def _count(value: object, name: str) -> int:
+    """``value`` as an int; floats such as 1.5 (or 2.0) are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def default_box_radius(x0: float) -> float:
@@ -78,8 +89,10 @@ def _poll(
     ``state`` is whatever cached transform of z the objective consumes and
     ``best`` its value. The poll yields a block request ``(state, js,
     deltas)``, the moves of coordinate js[k] by deltas[k] from ``state``, and
-    receives ``(block, values)``: one shifted state and one objective value
-    per move. It returns ``(z, best)``. The full step schedule is restarted
+    receives ``(block, values, finite)``: one shifted state and one objective
+    value per move, and whether every value is finite, so that only a block
+    holding a non-finite value pays for the finiteness test of its own
+    values. It returns ``(z, best)``. The full step schedule is restarted
     from the incumbent until a whole cycle brings no improvement, which
     guards against unlucky step phasing near kinks.
 
@@ -104,24 +117,29 @@ def _poll(
         while step > tol and evals < _EVAL_BUDGET:
             limit = row_cap()
             # the moves of the next ``width`` coordinates, if none improves
-            moves = []
+            moves, js, deltas = [], [], []
             s, jj, f, e = step, j, fails, evals
             for _ in range(width):
                 if not (s > tol and e < _EVAL_BUDGET) or len(moves) + 2 > limit:
                     break
-                for sgn in (1.0, -1.0):
-                    nc = min(hi, max(lo, z[jj] + sgn * s))
-                    if nc != z[jj]:
+                zj = z[jj]
+                for nc in (zj + s, zj - s):
+                    # min(hi, max(lo, nc)), to the bit and the sign of zero
+                    nc = nc if nc > lo else lo
+                    nc = nc if nc < hi else hi
+                    if nc != zj:
                         moves.append((s, jj, nc))
+                        js.append(jj)
+                        deltas.append(nc - zj)
                         e += 1
                 f, jj = f + 1, (jj + 1) % m
                 if f == m:
                     s, jj, f = s * _SHRINK, 0, 0
             if moves:
-                js = np.array([mv[1] for mv in moves])
-                deltas = np.array([mv[2] - z[mv[1]] for mv in moves])
-                block, vals = yield state, js, deltas
-                hit = np.flatnonzero(~np.isfinite(vals) | (vals > best))
+                block, vals, finite = yield state, np.array(js), np.array(deltas)
+                # a non-finite value at or before the first improver raises below
+                hit = vals > best if finite else ~np.isfinite(vals) | (vals > best)
+                hit = hit.nonzero()[0]
             if not moves or hit.size == 0:
                 step, j, fails, evals = s, jj, f, e
                 width = min(2 * width, limit)
@@ -159,9 +177,11 @@ def _lockstep(
     The polls run in lockstep: one call values the start states, and in each
     round the block requests of all live polls are stacked, shifted with one
     ``shift`` call and valued with one ``values_of`` call; each poll gets its
-    own rows back. ``shift(base, js, deltas)`` takes one state or one base
-    row per move. The live polls share ``_BLOCK_FLOATS``, each start's
-    block holding at least its ``_span`` coordinates.
+    own rows back, with one finiteness flag for all the round's values.
+    ``shift(base, js, deltas)`` takes one state or one base row per move; a
+    lone live poll passes its state as is, without a stacked copy of it per
+    row. The live polls share ``_BLOCK_FLOATS``, each start's block holding
+    at least its ``_span`` coordinates.
     """
     size = states.shape[1]
     span = _span(size)
@@ -198,9 +218,10 @@ def _lockstep(
             block = shift(np.repeat(bases, counts, axis=0), np.concatenate(jss),
                           np.concatenate(deltass))
         values = values_of(block)
+        finite = bool(np.isfinite(values).all())
         a = 0
         for k, c in zip(ks, counts):
-            answer(k, (block[a : a + c], values[a : a + c]))
+            answer(k, (block[a : a + c], values[a : a + c], finite))
             a += c
     return results
 
@@ -261,11 +282,11 @@ def _search_tree(
     engine = OutcomeEngine(tree, ref)
     phi = ref.subhedge.as_flat(tree)
     stacked_phi = np.tile(phi, n_atoms)
-    probs = np.tile(engine.leaf_prob, n_atoms) / n_atoms
+    law = _Law(np.tile(engine.leaf_prob, n_atoms) / n_atoms)
 
     def search(z0s: Sequence[np.ndarray]) -> np.ndarray:
         return _multistart(
-            lambda block: _cpt_rows(block, probs, pref), engine.shift,
+            lambda block: _cpt_rows(block, law, pref), engine.shift,
             lambda z: engine.outcomes(stacked_phi + z, x0), z0s, -radius, radius, cfg.tol,
         )[0]
 
@@ -288,6 +309,7 @@ def _pure_search(
     extra_starts: Sequence[PureStrategy] = (),
 ) -> tuple[PureStrategy, float]:
     """The pure search of ``optimize_pure`` and the box radius it ended in."""
+    x0 = finite_capital(x0)
     if not pref.condition_a:
         warnings.warn("preferences fail the decisive well-posedness gate; the "
                       "objective may be effectively unbounded", stacklevel=3)
@@ -335,7 +357,7 @@ def optimize_randomized(
     is searched in the box the pure search ended in, so the value can only
     improve on the pure search.
     """
-    if n_atoms < 1:
+    if _count(n_atoms, "n_atoms") < 1:
         raise ValidationError("n_atoms must be >= 1")
     cfg = cfg or SearchConfig()
     pure_strat, radius = _pure_search(tree, pref, x0, ref, cfg)
@@ -382,18 +404,26 @@ def _position_law(
     return vals, w
 
 
+def _coin_law(w: np.ndarray) -> tuple[np.ndarray, _Law]:
+    """The external weights w of a mixed position and the kernel law of its
+    gains: each |theta| atom wins with probability w/2, the coin's losing
+    half gains 0 with probability 1/2."""
+    return w, _Law(np.concatenate((w / 2.0, [0.5])))
+
+
 def _coin_sides(
-    vals: np.ndarray, w: np.ndarray, w_plus: Distortion | Callable
+    vals: np.ndarray, law: tuple[np.ndarray, _Law], w_plus: Distortion | Callable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gain and loss sides of every row of a (K, m) block of |theta| atoms
-    with external weights w."""
+    with the weights and gain law of ``_coin_law``."""
+    w, gain_law = law
     n_rows, m = vals.shape
     gains = np.zeros((n_rows, m + 1))  # the coin's losing half gains 0
     gains[:, :m] = vals**0.25
-    gprobs = np.concatenate((w / 2.0, [0.5]))
-    # row by row: a matrix-vector product sums in another order than w @ row
-    v_minus = np.array([0.5 * float(w @ row) for row in vals])
-    return _choquet_rows(gains, gprobs, w_plus), v_minus
+    # one (1, m) @ (m, 1) product per row, the order of ``w @ row``: a
+    # matrix-vector product, a left fold or np.sum each sum in another order
+    v_minus = 0.5 * np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]
+    return _choquet_rows(gains, gain_law, w_plus), v_minus
 
 
 def coin_cpt_value(
@@ -408,15 +438,16 @@ def coin_cpt_value(
     the quartic root, losses linearly with no loss distortion.
     """
     vals, w = _position_law(theta_values, weights)
-    (v_plus,), (v_minus,) = _coin_sides(vals[None], w, w_plus)
+    (v_plus,), (v_minus,) = _coin_sides(vals[None], _coin_law(w), w_plus)
     return CPTValue.from_parts(float(v_plus), float(v_minus))
 
 
-def _coin_cpt_rows(theta_rows: np.ndarray, w_plus: Distortion | Callable) -> np.ndarray:
-    """``coin_cpt_value(row, w_plus=w_plus).v`` for every row of a (K, m) block
-    of equally weighted positions."""
-    m = theta_rows.shape[1]
-    v_plus, v_minus = _coin_sides(np.abs(theta_rows), np.full(m, 1.0 / m), w_plus)
+def _coin_cpt_rows(
+    theta_rows: np.ndarray, law: tuple[np.ndarray, _Law], w_plus: Distortion | Callable
+) -> np.ndarray:
+    """``coin_cpt_value(row, w, w_plus).v`` for every row of a (K, m) block of
+    positions, ``law`` being ``_coin_law(w)``."""
+    v_plus, v_minus = _coin_sides(np.abs(theta_rows), law, w_plus)
     return v_plus - v_minus
 
 
@@ -445,16 +476,13 @@ def ladder(
     the level-k argmax duplicated, so the ladder is nondecreasing by
     construction.
     """
-    if n_max < 0:
+    if _count(n_max, "n_max") < 0:
         raise ValidationError("n_max must be >= 0")
     if n_max > 12:
         raise ValidationError("n_max > 12 refused: 2^n atoms per level")
     cfg = cfg or SearchConfig()
     radius = cfg.box_radius if cfg.box_radius is not None else 8.0
     rng = np.random.default_rng(cfg.seed)
-
-    def values_of(block: np.ndarray) -> np.ndarray:
-        return _coin_cpt_rows(block, w_plus)
 
     def shift(base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         rows = np.empty((len(js), base.shape[-1]))
@@ -470,7 +498,11 @@ def ladder(
         starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
         while len(starts) < 1 + cfg.multistart:
             starts.append(rng.uniform(0.0, 1.0, m))
-        best_z, best_v = _multistart(values_of, shift, np.copy, starts, 0.0, radius, cfg.tol)
+        law = _coin_law(np.full(m, 1.0 / m))
+        best_z, best_v = _multistart(
+            lambda block: _coin_cpt_rows(block, law, w_plus), shift, np.copy, starts, 0.0,
+            radius, cfg.tol,
+        )
         prev = np.sort(best_z)
         values.append(best_v)
         argmaxes.append(tuple(float(b) for b in prev))

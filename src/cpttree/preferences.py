@@ -186,13 +186,27 @@ class UtilityPair:
         )
 
 
+def _lambda_interval(
+    utility: UtilityPair, distortion: DistortionPair
+) -> tuple[float, float] | None:
+    """The feasible interval (1/gamma_plus, alpha_minus/alpha_plus) of lambda,
+    or None when no double lies strictly inside it. This is the decisive gate
+    alpha_plus/gamma_plus < alpha_minus as floats can use it: an interval
+    whose ends are adjacent doubles holds no lambda."""
+    lo = 1.0 / distortion.gamma_plus
+    hi = utility.alpha_minus / utility.alpha_plus
+    return (lo, hi) if np.nextafter(lo, np.inf) < hi else None
+
+
 @dataclass(frozen=True)
 class PreferenceSpec:
     """Utility pair + distortion pair + the chosen auxiliary exponent lambda.
 
     lambda defaults to the midpoint of the feasible interval
-    (1/gamma_plus, alpha_minus/alpha_plus) when the decisive gate holds; it
-    must satisfy lambda*gamma_plus > 1 and lambda*alpha_plus < alpha_minus.
+    (1/gamma_plus, alpha_minus/alpha_plus) when the decisive gate holds, or
+    to the double just above 1/gamma_plus where the midpoint rounds onto an
+    end; it must satisfy lambda*gamma_plus > 1 and lambda*alpha_plus <
+    alpha_minus, and stays undefined when no double does.
     """
 
     utility: UtilityPair
@@ -203,17 +217,18 @@ class PreferenceSpec:
         lo = 1.0 / self.distortion.gamma_plus
         hi = self.utility.alpha_minus / self.utility.alpha_plus
         if self.lam is None:
-            if lo < hi:
-                object.__setattr__(self, "lam", 0.5 * (lo + hi))
-        else:
-            if not lo < self.lam < hi:
-                raise ValidationError(
-                    f"lambda={self.lam} outside the feasible interval ({lo}, {hi})"
-                )
+            # found exactly when ``_lambda_interval`` is not None
+            for lam in (0.5 * (lo + hi), float(np.nextafter(lo, np.inf))):
+                if lo < lam < hi:
+                    object.__setattr__(self, "lam", lam)
+                    break
+        elif not lo < self.lam < hi:
+            raise ValidationError(f"lambda={self.lam} outside the feasible interval ({lo}, {hi})")
 
     @property
     def condition_a(self) -> bool:
-        return self.utility.alpha_plus / self.distortion.gamma_plus < self.utility.alpha_minus
+        """The decisive gate: some lambda lies strictly in its feasible interval."""
+        return _lambda_interval(self.utility, self.distortion) is not None
 
 
 def coin_model_preferences() -> PreferenceSpec:
@@ -256,14 +271,13 @@ def check_conditions(pref: PreferenceSpec) -> ParamReport:
     """Evaluate the decisive gate, the weaker two-sided gate and the lambda interval."""
     ap, am = pref.utility.alpha_plus, pref.utility.alpha_minus
     gp, gm = pref.distortion.gamma_plus, pref.distortion.gamma_minus
-    condition_a = ap / gp < am
+    interval = _lambda_interval(pref.utility, pref.distortion)
     condition_bulb = ap < am and ap / gp <= am / gm
-    interval = (1.0 / gp, am / ap) if condition_a else None
     pathology = None
     if pref.distortion.plus.family == "tk" and pref.distortion.minus.family == "tk":
         pathology = tk_pathology_threshold(pref.utility.k_minus, gp, gm)
     return ParamReport(
-        condition_a=condition_a,
+        condition_a=interval is not None,
         condition_bulb=condition_bulb,
         feasible_lambda_interval=interval,
         chosen_lambda=pref.lam,

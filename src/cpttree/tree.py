@@ -54,7 +54,7 @@ class ScenarioTree:
         if n == 0 or self.parent[0] != -1:
             raise ValidationError("node 0 must be the root with parent -1")
         # the first bad node of each check, in id order
-        parent = np.asarray(self.parent)
+        parent = self.parent_array
         early = np.flatnonzero((parent[1:] < 0) | (parent[1:] >= np.arange(1, n))) + 1
         if early.size:
             raise ValidationError(f"node {early[0]}: parent must precede the node")
@@ -103,9 +103,16 @@ class ScenarioTree:
         return len(self.parent)
 
     @cached_property
+    def parent_array(self) -> np.ndarray:
+        """``parent`` as an array, converted once per tree."""
+        parent = np.array(self.parent)
+        parent.flags.writeable = False
+        return parent
+
+    @cached_property
     def depth(self) -> np.ndarray:
         # pointer doubling: d[i] edges lead from node i up to jump[i]
-        jump = np.array(self.parent)
+        jump = self.parent_array.copy()
         jump[0] = 0
         d = np.ones(self.n_nodes, dtype=int)
         d[0] = 0
@@ -119,7 +126,7 @@ class ScenarioTree:
     def child_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The children layout: child ids sorted stably by parent, so node i's
         children are ``kids[first[i]:first[i + 1]]``, in id order."""
-        parent = np.asarray(self.parent)
+        parent = self.parent_array
         kids = parent[1:].argsort(kind="stable") + 1
         first = np.zeros(self.n_nodes + 1, dtype=int)
         np.cumsum(np.bincount(parent[1:], minlength=self.n_nodes), out=first[1:])
@@ -158,7 +165,7 @@ class ScenarioTree:
         """The (T+1, leaves) path table: column j is the path from the root to
         leaf j, row t its nodes at depth t. The leaves are in depth-first
         order, so the leaves below any node are one run of its row."""
-        parent = np.asarray(self.parent)
+        parent = self.parent_array
         rows = [np.flatnonzero(self.depth == self.horizon)]
         for _ in range(self.horizon):
             rows.append(parent[rows[-1]])
@@ -179,6 +186,14 @@ class ScenarioTree:
         ids = np.flatnonzero(first[1:] > first[:-1])
         ids.flags.writeable = False
         return ids
+
+    @cached_property
+    def parent_rows(self) -> np.ndarray:
+        """For each non-root node, the position of its parent in
+        ``nonterminal_ids``: the row of its allocation in a strategy matrix."""
+        rows = np.searchsorted(self.nonterminal_ids, self.parent_array[1:])
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def prob_array(self) -> np.ndarray:
@@ -237,19 +252,29 @@ class PureStrategy:
         )
 
     def as_matrix(self, tree: ScenarioTree) -> np.ndarray:
-        """Allocations stacked in nonterminal-id order; rejects structural mismatch."""
-        rows = []
-        for node in tree.nonterminal_ids:
-            vec = self.allocations.get(int(node))
-            if vec is None:
-                raise ValidationError(f"strategy missing allocation for node {int(node)}")
-            if len(vec) != tree.asset_dim:
-                raise ValidationError(f"node {int(node)}: allocation dimension != asset_dim")
-            rows.append(vec)
-        extra = set(self.allocations) - {int(i) for i in tree.nonterminal_ids}
-        if extra:
+        """Allocations stacked in nonterminal-id order; rejects structural
+        mismatch and non-finite allocations."""
+        ids = tree.nonterminal_ids.tolist()
+        rows = list(map(self.allocations.get, ids))
+        try:
+            mat = np.array(rows, dtype=float)
+        except (TypeError, ValueError):
+            mat = None
+        if mat is None or mat.shape != (len(ids), tree.asset_dim):
+            # the first node, in id order, that is missing or of the wrong size
+            for node, vec in zip(ids, rows):
+                if vec is None:
+                    raise ValidationError(f"strategy missing allocation for node {node}")
+                if len(vec) != tree.asset_dim:
+                    raise ValidationError(f"node {node}: allocation dimension != asset_dim")
+            mat = np.array(rows, dtype=float)  # re-raises what no check above names
+        if len(self.allocations) != len(ids):
+            extra = set(self.allocations) - set(ids)
             raise ValidationError(f"strategy allocates at non-strategy node {min(extra)}")
-        return np.array(rows, dtype=float)
+        infinite = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if infinite.size:
+            raise ValidationError(f"node {ids[infinite[0]]}: allocation is not finite")
+        return mat
 
     def as_flat(self, tree: ScenarioTree) -> np.ndarray:
         return self.as_matrix(tree).reshape(-1)
@@ -309,13 +334,25 @@ class ReferenceSpec:
         )
 
     def benchmark_array(self, tree: ScenarioTree) -> np.ndarray:
-        vals = []
-        for leaf in tree.leaf_ids:
-            b = self.benchmark.get(int(leaf))
-            if b is None:
-                raise ValidationError(f"benchmark missing leaf {int(leaf)}")
-            vals.append(float(b))
-        return np.array(vals)
+        """Benchmark levels in ``leaf_ids`` order; rejects missing or
+        non-finite levels."""
+        leaves = tree.leaf_ids.tolist()
+        vals = list(map(self.benchmark.get, leaves))
+        if None in vals:
+            raise ValidationError(f"benchmark missing leaf {leaves[vals.index(None)]}")
+        out = np.array(vals, dtype=float)
+        infinite = np.flatnonzero(~np.isfinite(out))
+        if infinite.size:
+            raise ValidationError(f"benchmark at leaf {leaves[infinite[0]]} is not finite")
+        return out
+
+
+def finite_capital(x0: float) -> float:
+    """The initial capital as a float; NaN and infinities are refused."""
+    x = float(x0)
+    if not np.isfinite(x):
+        raise ValidationError(f"initial capital x0={x0!r} is not finite")
+    return x
 
 
 def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
@@ -327,8 +364,7 @@ def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
     then fold down ``tree.paths`` from the root, the same order as a
     node-by-node recursion.
     """
-    up = np.searchsorted(tree.nonterminal_ids, tree.parent[1:])
-    rows = np.asarray(theta)[..., up, :]
+    rows = np.asarray(theta)[..., tree.parent_rows, :]
     dots = np.matmul(rows[..., None, :], tree.increment_matrix[1:, :, None])[..., 0, 0]
     wealth = float(x0)
     for nodes in tree.paths[1:]:
@@ -338,8 +374,8 @@ def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
 
 def terminal_wealth(tree: ScenarioTree, strategy: PureStrategy, x0: float) -> dict[int, float]:
     """Terminal wealth per leaf: x0 plus the path sum of allocation.increment."""
-    wealth = leaf_wealth(tree, strategy.as_matrix(tree), x0)
-    return {int(leaf): float(w) for leaf, w in zip(tree.leaf_ids, wealth)}
+    wealth = leaf_wealth(tree, strategy.as_matrix(tree), finite_capital(x0))
+    return dict(zip(tree.leaf_ids.tolist(), wealth.tolist()))
 
 
 def validate_subhedge(tree: ScenarioTree, ref: ReferenceSpec, tol: float = 1e-12) -> tuple[bool, int | None]:

@@ -27,7 +27,7 @@ from cpttree import (
 )
 from cpttree.choquet import _choquet_rows, _cpt_rows, cpt_value_from_outcomes
 from cpttree.extreal import ext_sub
-from cpttree.optimize import _coin_cpt_rows, coin_cpt_value
+from cpttree.optimize import _coin_cpt_rows, _coin_law, coin_cpt_value
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
 
 SQRT_HALF = 0.7071067811865476
@@ -220,6 +220,26 @@ class TestKernelProperties:
                 expected[rows:] = [reference_choquet(row, probs, other) for row in values[rows:]]
                 assert bits(_choquet_rows(values, probs, w, other)) == bits(expected)
 
+    def test_rows_do_not_depend_on_block_layout(self):
+        # numpy's power and sums take other loops on non-contiguous memory,
+        # which can move last bits: a row's value must not depend on its
+        # neighbours, the block's order in memory or its strides
+        rng = np.random.default_rng(2024)
+        families = sorted(DISTORTIONS)
+        for i in range(300):
+            n = int(rng.integers(1, 40)) if i % 10 else int(rng.integers(40, 300))
+            values, probs = law_block(int(rng.integers(2**32)), n,
+                                      ["distinct", "rounded", "few values", "zeros"][i % 4],
+                                      rows=int(rng.integers(1, 9)))
+            w = DISTORTIONS[families[i % len(families)]]
+            alone = bits([_choquet_rows(row[None], probs, w)[0] for row in values])
+            assert bits(_choquet_rows(values, probs, w)) == alone
+            assert bits(_choquet_rows(np.asfortranarray(values), probs, w)) == alone
+            assert bits(_choquet_rows(values[::-1], probs, w)[::-1]) == alone
+            wide = np.zeros((2 * len(values), 2 * n))
+            wide[::2, 1::2] = values
+            assert bits(_choquet_rows(wide[::2, 1::2], probs, w)) == alone
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     def test_row_objectives_match_the_scalar_values_bitwise(self, seed, n):
@@ -247,7 +267,7 @@ class TestKernelProperties:
             - 0.5 * float(w @ np.abs(row))
             for row in thetas
         ]
-        assert bits(_coin_cpt_rows(thetas, sqrt)) == bits(expected)
+        assert bits(_coin_cpt_rows(thetas, _coin_law(w), sqrt)) == bits(expected)
         assert bits([coin_cpt_value(row).v for row in thetas]) == bits(expected)
 
     @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from cpttree import (
     optimize_pure,
     optimize_randomized,
 )
+from cpttree.optimize import coin_cpt_value
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
 
 COIN = [(0.5, 1.0), (0.5, -1.0)]
@@ -105,6 +106,36 @@ def test_ladder_two_coins():
         (0.12253469602190858, 0.3968502719263084),
         (0.1088219721178062, 0.13664269820773012, 0.19451171533190614, 0.6299605209688194),
     )
+
+
+def test_ladder_three_coins():
+    # level 3 values 8-atom laws, beyond the 4 atoms of ``ladder(2)``
+    res = ladder(3, SearchConfig(seed=3))
+    assert res.values == (
+        0.3750000000000001, 0.3895387222774855, 0.4012263364466108, 0.41054337056016177
+    )
+    assert res.argmax[3] == (
+        0.1036512889059723, 0.11405484269657207, 0.12754152606525493, 0.145898047843808,
+        0.1727440990599335, 0.21690673009478456, 0.3087681074003227, 0.9999999840120322,
+    )
+
+
+@pytest.mark.parametrize(
+    "m,v_plus,v_minus",
+    [
+        (3, 0.7816069327524843, 0.7002864612209304),
+        (8, 0.7149798931427069, 0.42543375740602857),
+        (33, 0.738708940467378, 0.5072064635884328),
+    ],
+)
+def test_coin_value_unequal_weights(m, v_plus, v_minus):
+    # the loss side is a weighted sum of m atoms: these pin its summation order
+    rng = np.random.default_rng(m)
+    theta = np.round(rng.uniform(-2, 2, m), 3)
+    w = rng.uniform(0.1, 1, m)
+    val = coin_cpt_value(theta, w / w.sum())
+    assert (val.v_plus, val.v_minus) == (v_plus, v_minus)
+    assert val.v == v_plus - v_minus
 
 
 def test_boundedness_probe_with_subhedge():

@@ -16,6 +16,7 @@ from cpttree import (
     optimize_pure,
     optimize_randomized,
     perturbation_check,
+    terminal_wealth,
 )
 from cpttree import optimize
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
@@ -326,3 +327,51 @@ class TestPerturbation:
     def test_rejects_delta_beyond_smallest_atom(self):
         with pytest.raises(ValidationError, match="delta"):
             perturbation_check([0.25], deltas=[0.3])
+
+
+class TestEntryPointValidation:
+    """Non-finite and non-integer inputs are refused where they enter, with
+    ``ValidationError``, instead of yielding v = inf / nan or a bare error."""
+
+    @pytest.mark.parametrize(
+        "x0, theta, level, match",
+        [
+            (np.inf, 0.25, 0.0, "x0"),
+            (0.0, np.nan, 0.0, "allocation"),
+            (0.0, 0.25, np.nan, "benchmark"),
+        ],
+    )
+    def test_cpt_value_refuses_non_finite_inputs(self, coin_tree, x0, theta, level, match):
+        strategy = PureStrategy.constant(coin_tree, theta)
+        ref = ReferenceSpec.constant(coin_tree, level)
+        with pytest.raises(ValidationError, match=match):
+            cpt_value(coin_tree, strategy, x0, ref, coin_model_preferences())
+
+    def test_terminal_wealth_refuses_infinite_capital(self, coin_tree):
+        with pytest.raises(ValidationError, match="x0"):
+            terminal_wealth(coin_tree, PureStrategy.zeros(coin_tree), -np.inf)
+
+    @pytest.mark.parametrize("search", [optimize_pure, optimize_randomized])
+    def test_searches_refuse_nan_capital(self, coin_tree, search):
+        args = (coin_tree, coin_model_preferences(), np.nan, ReferenceSpec.zero(coin_tree))
+        if search is optimize_randomized:
+            args += (2,)
+        with pytest.raises(ValidationError, match="x0"):
+            search(*args, SearchConfig(multistart=1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("multistart", 1.5), ("seed", 1.5), ("max_box_doublings", 2.0),
+         ("max_box_doublings", -1)],
+    )
+    def test_search_config_counts(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_atom_counts_must_be_integers(self, coin_tree):
+        with pytest.raises(ValidationError, match="n_max"):
+            ladder(1.5)
+        with pytest.raises(ValidationError, match="n_atoms"):
+            optimize_randomized(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), 1.5
+            )

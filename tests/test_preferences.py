@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpttree import ValidationError, check_conditions, tk_distortion, tk_pathology_threshold
@@ -81,6 +81,8 @@ class TestCheckConditions:
         gp=st.floats(0.05, 1.0),
         gm=st.floats(0.05, 1.0),
     )
+    # 1/gp and am/ap are adjacent doubles: no lambda lies strictly between them
+    @example(ap=0.05, am=1.0, gp=0.05000000000000001, gm=1.0)
     def test_gate_iff_lambda_interval_nonempty(self, ap, am, gp, gm):
         pref = PreferenceSpec(
             utility=UtilityPair.power(ap, am),
