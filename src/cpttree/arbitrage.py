@@ -3,10 +3,10 @@
 On a finite tree, absence of arbitrage reduces to a one-step check at every
 non-terminal node: no direction may avoid losses while gaining somewhere.
 The quantitative certificate strengthens this to "every unit direction loses
-at least kappa with conditional probability at least pi". For d = 1 every
-check is an array pass over ``ScenarioTree.families``; for d >= 2 the dot
-products (a batched product rounds differently), the LP and the rank test
-stay per node.
+at least kappa with conditional probability at least pi". Every check is a
+pass over the equal-size family blocks of ``ScenarioTree.families``: the
+direction dots are one stacked product per direction, the d >= 2 rank test one
+stacked ``matrix_rank`` per block. Only the d >= 2 arbitrage LP is per node.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ def check_NA(tree: ScenarioTree) -> NAResult:
             return NAResult(ok=True)
         k = int(hit.argmax())
         return NAResult(False, int(tree.nonterminal_ids[k]), (1.0,) if lo[k] >= 0.0 else (-1.0,))
+    kids, first = tree.child_layout
     for node in tree.nonterminal_ids.tolist():
-        direction = _one_step_arbitrage(tree.increment_matrix[list(tree.children[node])])
+        incs = tree.increment_matrix[kids[first[node] : first[node + 1]]]
+        direction = _one_step_arbitrage(incs)
         if direction is not None:
             return NAResult(ok=False, node=node, direction=tuple(map(float, direction)))
     return NAResult(ok=True)
@@ -98,13 +100,14 @@ def check_NA(tree: ScenarioTree) -> NAResult:
 def check_R(tree: ScenarioTree) -> tuple[bool, int | None]:
     """Non-degeneracy: conditional supports are not confined to a proper affine subspace."""
     if tree.asset_dim == 1:
-        node = _first(tree, np.equal(*_spans(tree)))
-        return node is None, node
-    for node in tree.nonterminal_ids.tolist():
-        incs = tree.increment_matrix[list(tree.children[node])]
-        if np.linalg.matrix_rank(incs - incs[0]) < tree.asset_dim:
-            return False, node
-    return True, None
+        flat = np.equal(*_spans(tree))
+    else:
+        flat = np.empty(len(tree.nonterminal_ids), dtype=bool)
+        for rows, kids in tree.families(tree.asset_dim):
+            incs = tree.increment_matrix[kids]
+            flat[rows] = np.linalg.matrix_rank(incs - incs[:, :1]) < tree.asset_dim
+    node = _first(tree, flat)
+    return node is None, node
 
 
 def unit_directions(d: int, n_samples: int, seed: int = 13) -> np.ndarray:
@@ -133,12 +136,11 @@ def _family_dots(tree: ScenarioTree, dirs: np.ndarray) -> Iterator[tuple[np.ndar
     """Per block of ``tree.families``: its rows, the (rows, directions,
     children) dots of the children's increments, the children's probabilities."""
     for rows, kids in tree.families(len(dirs)):
-        if tree.asset_dim == 1:
-            # the +-1 scan: the increments and their negatives, exactly
-            dots = tree.increment_matrix[kids, 0][:, None, :] * dirs[:, 0, None]
-        else:
-            dots = np.array([[tree.increment_matrix[fam] @ xi for xi in dirs] for fam in kids])
-        yield rows, dots, tree.prob_array[kids]
+        # one (children, d) @ (d,) product per family and direction, as a loop
+        # over families makes it (``incs @ dirs.T`` rounds differently); for
+        # d = 1 the increments and their negatives, exactly
+        incs = tree.increment_matrix[kids]
+        yield rows, np.stack([incs @ xi for xi in dirs], axis=1), tree.prob_array[kids]
 
 
 def _tails_at(

@@ -237,29 +237,20 @@ def _multistart(
 ) -> tuple[np.ndarray, float]:
     """Compass search from every start; the first best result in start order wins.
 
-    The starts are polled in lockstep groups, consecutive starts joining a
-    group while their smallest blocks, stacked, fit ``_BLOCK_FLOATS``. So
-    only one group's states exist at a time, and a block exceeds
+    The start states are stacked up front, and the starts are polled in
+    lockstep groups of one fixed size: consecutive starts, as many as fit
+    ``_BLOCK_FLOATS`` with their smallest blocks stacked. So a block exceeds
     ``_BLOCK_FLOATS`` only where one start's smallest block does.
     """
+    states = np.stack([state_of(z0) for z0 in starts])
+    size = states.shape[1]
+    fit = max(1, _BLOCK_FLOATS // (2 * _span(size) * size))
     best_z, best_v = None, -np.inf
-    group: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def run() -> None:
-        nonlocal best_z, best_v
-        z0s, states = zip(*group)
-        for z, v in _lockstep(values_of, shift, z0s, np.stack(states), lo, hi, tol):
+    for a in range(0, len(starts), fit):
+        group = _lockstep(values_of, shift, starts[a : a + fit], states[a : a + fit], lo, hi, tol)
+        for z, v in group:
             if v > best_v:
                 best_z, best_v = z, v
-        group.clear()
-
-    for z0 in starts:
-        group.append((z0, state_of(z0)))
-        size = group[0][1].size
-        if (len(group) + 1) * 2 * _span(size) * size > _BLOCK_FLOATS:
-            run()
-    if group:
-        run()
     return best_z, best_v
 
 

@@ -156,8 +156,8 @@ class UtilityPair:
         for name, a in (("alpha_plus", self.alpha_plus), ("alpha_minus", self.alpha_minus)):
             if not 0.0 < a <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1]")
-        if self.k_plus <= 0 or self.k_minus <= 0:
-            raise ValidationError("envelope constants must be positive")
+        if not (0 < self.k_plus < np.inf and 0 < self.k_minus < np.inf):
+            raise ValidationError("envelope constants must be positive and finite")
         up = np.asarray(self.u_plus(_ENVELOPE_GRID), dtype=float)
         um = np.asarray(self.u_minus(_ENVELOPE_GRID), dtype=float)
         if abs(up[0]) > 1e-12 or abs(um[0]) > 1e-12:

@@ -316,6 +316,10 @@ class ReferenceSpec:
     subhedge: PureStrategy
     floor: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite(self.floor):
+            raise ValidationError(f"floor {self.floor!r} is not finite")
+
     @classmethod
     def zero(cls, tree: ScenarioTree) -> "ReferenceSpec":
         return cls(
@@ -330,7 +334,7 @@ class ReferenceSpec:
         return cls(
             benchmark={int(leaf): float(level) for leaf in tree.leaf_ids},
             subhedge=PureStrategy.zeros(tree),
-            floor=min(float(level), 0.0),
+            floor=float(np.fmin(level, 0.0)),  # 0 for a NaN level, which benchmark_array refuses
         )
 
     def benchmark_array(self, tree: ScenarioTree) -> np.ndarray:

@@ -354,7 +354,7 @@ def wild_tree(rng, asset_dim=1, horizon=2, max_kids=12, grid=True):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_seeded_random_trees(self, d):
         rng = np.random.default_rng(40 + d)
         for _ in range(12 if d == 1 else 4):
@@ -373,6 +373,9 @@ class TestAgainstReference:
         for _ in range(4):
             grid = bool(rng.random() < 0.5)
             tree = wild_tree(rng, asset_dim=2, horizon=1, max_kids=12, grid=grid)
+            assert_same_everywhere(tree, [0.1, 0.3])
+        for d, grid in ((2, True), (2, False), (3, True), (3, False)):
+            tree = wild_tree(rng, asset_dim=d, horizon=2, max_kids=12, grid=grid)
             assert_same_everywhere(tree, [0.1, 0.3])
 
     @pytest.mark.parametrize("n", [2, 7, 8, 100])

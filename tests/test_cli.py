@@ -75,6 +75,20 @@ class TestBoundary:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [["value", "--theta", "0.3"], ["optimize"], ["check-wellposed"]])
+    def test_non_finite_envelope_constant_exits_2(
+        self, tmp_path, coin_market_file, capsys, value, argv
+    ):
+        pref = tmp_path / "p.cfg"
+        pref.write_text("alpha_plus=0.5\nalpha_minus=0.9\nk_minus=2.0\n")
+        args = argv + ["--pref", str(pref), "--set", f"k_minus={value}", "--out", str(tmp_path / "o")]
+        if argv[0] != "check-wellposed":
+            args += ["--market", str(coin_market_file)]
+        assert main(args) == 2
+        assert "positive" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dumps_refuses_non_finite(self):
         for x in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="non-finite"):

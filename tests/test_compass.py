@@ -315,7 +315,7 @@ def test_stacked_blocks_stay_within_the_block_cap(monkeypatch):
 
 def test_starts_are_grouped_when_their_blocks_do_not_fit(monkeypatch):
     # 4096 leaves: a start's smallest block is two rows of 4096 floats, so
-    # four starts fill the cap and only one group's states exist at a time
+    # four starts fill the cap and the starts run in groups of four
     strategy, blocks, groups = coin_search(monkeypatch, 12, 10, 30)
     assert groups == [4, 4, 3]
     assert max(blocks) <= optimize._BLOCK_FLOATS

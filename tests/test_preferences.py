@@ -128,6 +128,21 @@ class TestEnvelopes:
         assert np.allclose(util.u_plus(x), x**0.7)
         assert np.allclose(util.u_minus(x), 2.25 * x**0.9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_envelope_constants_refused(self, value):
+        # NaN and inf pass a "<= 0" test, and the grid spot-checks against them pass too
+        with pytest.raises(ValidationError, match="positive"):
+            UtilityPair.power(0.5, 0.9, k=value)
+        with pytest.raises(ValidationError, match="positive"):
+            UtilityPair(
+                u_plus=lambda x: np.asarray(x) ** 0.5,
+                u_minus=lambda x: np.asarray(x),
+                k_plus=value,
+                alpha_plus=0.5,
+                k_minus=1.0,
+                alpha_minus=1.0,
+            )
+
     @pytest.mark.parametrize("gamma", [0.3, 0.61, 0.69, 1.0])
     def test_tk_envelopes(self, gamma):
         d = Distortion.tk(gamma)

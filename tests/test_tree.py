@@ -301,6 +301,15 @@ class TestReference:
         )
         assert validate_subhedge(tree, ref) == (True, None)
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floor_refused(self, floor):
+        # a NaN floor passed the sub-hedge test and made the auxiliary value NaN
+        tree = one_step_coin()
+        with pytest.raises(ValidationError, match="floor"):
+            ReferenceSpec(
+                benchmark={1: 0.0, 2: 0.0}, subhedge=PureStrategy.zeros(tree), floor=floor
+            )
+
     def test_violation_reports_witness_leaf(self):
         tree = one_step_coin()
         ref = ReferenceSpec(
