@@ -17,6 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .choquet import segment_sums
 from .errors import CertificateError, ValidationError
 from .tree import PROB_TOL, ScenarioTree
 
@@ -147,17 +148,16 @@ def _tails_at(
     dots: np.ndarray, probs: np.ndarray, r: np.ndarray, i: np.ndarray, level: np.ndarray
 ) -> np.ndarray:
     """``probs[r][dots[r, i] <= level].sum()`` per (row r, direction i) pair,
-    bitwise: numpy sums fewer than eight terms as a left fold, the last column
-    of a zero-filled row's cumulative sum, and longer ones pairwise, so those
-    rows are summed one by one. ``_TAIL_FLOATS`` (pair, child) cells at a time."""
+    bitwise: the selected probabilities of all pairs, gathered in order, are
+    summed per pair by ``segment_sums``. ``_TAIL_FLOATS`` (pair, child) cells
+    at a time."""
     out = np.empty(r.size)
     step = max(1, _TAIL_FLOATS // dots.shape[2])
     for a in range(0, r.size, step):
-        sel = dots[r[a : a + step], i[a : a + step]] <= level[a : a + step, None]
-        p = probs[r[a : a + step]]
-        out[a : a + step] = np.where(sel, p, 0.0).cumsum(axis=1)[:, -1]
-        for k in np.flatnonzero(sel.sum(axis=1) >= 8):
-            out[a + k] = p[k][sel[k]].sum()
+        rows = r[a : a + step]
+        pair, child = (dots[rows, i[a : a + step]] <= level[a : a + step, None]).nonzero()
+        counts = np.bincount(pair, minlength=rows.size)
+        out[a : a + step] = segment_sums(probs[rows[pair], child], counts.cumsum() - counts)
     return out
 
 

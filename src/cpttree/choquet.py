@@ -79,6 +79,18 @@ class _Law:
         self.sorted = None if self.equal else probs[self.by_prob]
 
 
+def segment_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each run of ``values`` from the increasing offsets ``first``,
+    bitwise: ``reduceat`` starts a run from its first item and ``np.sum`` from
+    0.0, in the same pairwise order after it, so every run is led by a 0.0."""
+    heads = first + np.arange(first.size)
+    rest = np.ones(values.size + first.size, dtype=bool)
+    rest[heads] = False
+    led = np.zeros(rest.size)
+    led[rest] = values
+    return np.add.reduceat(led, heads)
+
+
 def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> np.ndarray:
     """Distorted survival integral of each row of a (K, L) block of
     nonnegative atom values sharing the L probabilities of ``law``. With
@@ -88,18 +100,18 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
 
     Each row is put in the canonical atom order (by value, ties by
     probability, then by position): with equal probabilities a plain sort of
-    the values is that order; otherwise the columns go in probability order,
-    each row is sorted by value and runs of equal values are re-sorted
-    stably. One flat ``reduceat`` merges the tie masses, suffix sums are
-    sequential cumulative sums of each reversed row, the distortion and the
-    products are elementwise. numpy sums pairwise: a row of fewer than eight
-    terms is a left fold, which zero padding keeps, so those rows are summed
-    as one padded block; longer rows are summed one by one.
+    the values is that order; otherwise the columns go in probability order
+    and one stable sort of each row by value keeps that order among ties.
+    One flat ``reduceat`` merges the tie masses, suffix sums are sequential
+    cumulative sums of each reversed row, the distortion and the products
+    are elementwise, and ``segment_sums`` adds each row's terms as ``np.sum``
+    would.
 
     The probability order, the equal-probability test, the repeated common
     probability and the column positions depend on the law alone and come
-    from ``law``, built once per search. Everything handed to a distortion is a contiguous slice: numpy's
-    power can round a strided view differently in the last bit.
+    from ``law``, built once per search. Everything handed to a distortion
+    is a contiguous slice: numpy's power can round a strided view
+    differently in the last bit.
     """
     if not isinstance(law, _Law):
         law = _Law(law)
@@ -112,7 +124,7 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
         v = np.sort(values, axis=1)
     else:
         by_prob = values[:, law.by_prob]
-        order = by_prob.argsort(axis=1)
+        order = by_prob.argsort(axis=1, kind="stable")
         v = by_prob[np.arange(n_rows)[:, None], order]
     new = np.empty(v.shape, dtype=bool)
     new[:, 0] = True
@@ -122,8 +134,6 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     if law.equal:
         p = law.repeated[: v.size]
     else:
-        if starts.size < v.size:
-            order = by_prob.argsort(axis=1, kind="stable")
         p = law.sorted[order].ravel()
     mass = np.add.reduceat(p, starts)
     counts = new.sum(axis=1)
@@ -143,14 +153,7 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     prev = np.empty_like(distinct)
     prev[1:] = distinct[:-1]
     prev[first] = 0.0
-    terms = (distinct - prev) * weights
-    padded = np.zeros(cells.shape)
-    padded[cells] = terms
-    out = padded[:, :7].sum(axis=1)
-    if width >= 8:
-        for r in np.flatnonzero(counts >= 8):
-            out[r] = terms[first[r] : first[r] + counts[r]].sum()
-    return out
+    return segment_sums((distinct - prev) * weights, first)
 
 
 def choquet_nonneg(rv: DiscreteRV, w: Callable) -> float:
@@ -166,7 +169,8 @@ class CPTValue:
     """Gain side, loss side and their difference, with the admissibility flag.
 
     v is defined whenever the loss side is finite; an infinite gain side then
-    yields an infinite v. On finite trees every component is finite.
+    yields an infinite v. On finite trees every component is finite: a float
+    inf or NaN side is overflow, and is refused.
     """
 
     v_plus: ExtReal
@@ -176,6 +180,8 @@ class CPTValue:
 
     @classmethod
     def from_parts(cls, v_plus: ExtReal, v_minus: ExtReal) -> "CPTValue":
+        if not all(is_inf(x) or np.isfinite(x) for x in (v_plus, v_minus)):
+            raise ValidationError(f"CPT value overflows: v_plus={v_plus!r}, v_minus={v_minus!r}")
         admissible = is_finite(v_minus)
         v = ext_sub(v_plus, v_minus) if admissible else None
         return cls(v_plus=v_plus, v_minus=v_minus, v=v, admissible=admissible)

@@ -254,6 +254,11 @@ def _multistart(
     return best_z, best_v
 
 
+def _check_box(radius: float) -> None:
+    if not np.isfinite(2.0 * radius):
+        raise ValidationError(f"search box radius {radius!r} is too large: its width overflows")
+
+
 def _search_tree(
     tree: ScenarioTree,
     pref: PreferenceSpec,
@@ -281,11 +286,13 @@ def _search_tree(
             lambda z: engine.outcomes(stacked_phi + z, x0), z0s, -radius, radius, cfg.tol,
         )[0]
 
+    _check_box(radius)
     best_z = search(starts(phi, radius, np.random.default_rng(cfg.seed)))
     for _ in range(max_doublings):
         if np.max(np.abs(best_z)) < radius * (1 - 1e-9):
             break
         radius *= 2.0
+        _check_box(radius)
         best_z = search([best_z])
     atoms = (stacked_phi + best_z).reshape(n_atoms, -1)
     return [PureStrategy.from_flat(tree, theta) for theta in atoms], radius

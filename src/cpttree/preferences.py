@@ -330,6 +330,11 @@ def _build_distortion(family: str, gamma: float | None, side: str) -> Distortion
     raise ValidationError(f"unknown distortion family {family!r}")
 
 
+# the keys parse_preferences reads; any other key is a misspelling
+_PREF_KEYS = {"alpha_plus", "alpha_minus", "k", "k_minus", "lambda", "gamma_plus", "gamma_minus",
+              "family_uplus", "family_uminus", "family_wplus", "family_wminus"}
+
+
 def parse_preferences(text: str, overrides: Mapping[str, str] | None = None) -> PreferenceSpec:
     """Parse key=value preference lines, applying CLI-style overrides last."""
     kv: dict[str, str] = {}
@@ -343,6 +348,9 @@ def parse_preferences(text: str, overrides: Mapping[str, str] | None = None) -> 
         kv[key.strip()] = val.strip()
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items()})
+    unknown = sorted(kv.keys() - _PREF_KEYS)
+    if unknown:
+        raise ValidationError(f"not a preference key: {', '.join(map(repr, unknown))}")
 
     def fget(key: str, default: float | None = None) -> float | None:
         if key not in kv:

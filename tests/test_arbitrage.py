@@ -325,15 +325,19 @@ def exact_threshold(tail):
     return None
 
 
-def wild_tree(rng, asset_dim=1, horizon=2, max_kids=12, grid=True):
-    """Random families of 1..max_kids children; increments on a coarse grid
-    (so tails tie) or continuous, with an occasional one-signed family."""
+def wild_tree(rng, asset_dim=1, horizon=2, max_kids=12, grid=True, min_kids=1, balanced=False):
+    """Random families of min_kids..max_kids children; increments on a coarse
+    grid (so tails tie) or continuous, with an occasional one-signed family.
+    ``balanced`` sets each family's last child to -sum(c_i v_i) / c_k for
+    positive integer weights, c_k a power of two: a positive combination of
+    the children is then zero, exactly on the grid, so no direction avoids
+    a loss."""
     parent, prob, incs = [-1], [1.0], [(0.0,) * asset_dim]
     frontier = [0]
     for _ in range(horizon):
         nxt = []
         for node in frontier:
-            k = int(rng.integers(1, max_kids + 1))
+            k = int(rng.integers(min_kids, max_kids + 1))
             if grid:
                 vecs = rng.integers(-3, 4, (k, asset_dim)) * 0.5
             else:
@@ -341,6 +345,8 @@ def wild_tree(rng, asset_dim=1, horizon=2, max_kids=12, grid=True):
             if k >= 2 and rng.random() < 0.9:
                 vecs[0] = np.abs(vecs[0]) + 0.5
                 vecs[1] = -np.abs(vecs[1]) - 0.5
+            if balanced:
+                vecs[-1] = -(rng.integers(1, 5, k - 1) @ vecs[:-1]) / rng.choice([1.0, 2.0, 4.0])
             w = rng.integers(1, 9, k) / 1.0 if grid else rng.uniform(0.05, 1.0, k)
             w = w / w.sum()
             w[-1] = 1.0 - w[:-1].sum()
@@ -377,6 +383,20 @@ class TestAgainstReference:
         for d, grid in ((2, True), (2, False), (3, True), (3, False)):
             tree = wild_tree(rng, asset_dim=d, horizon=2, max_kids=12, grid=grid)
             assert_same_everywhere(tree, [0.1, 0.3])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_balanced_multi_asset_families(self, d):
+        # unmirrored families of 8-14 children free of arbitrage, so the
+        # certificate entries, not its error, meet the reference, and the
+        # tail pass sums selections of 8 or more children
+        rng = np.random.default_rng(56 + d)
+        for _ in range(3):
+            tree = wild_tree(rng, asset_dim=d, max_kids=14, min_kids=8, balanced=True)
+            assert check_NA(tree).ok
+            # every sampled direction loses on some child, at least this mass
+            least = float(tree.prob_array[1:].min())
+            assert isinstance(outcome(marche_certificate, tree, least, 16), list)
+            assert_same_everywhere(tree, [least, 0.1, 0.3])
 
     @pytest.mark.parametrize("n", [2, 7, 8, 100])
     def test_two_step_uniform_market(self, n):

@@ -118,6 +118,39 @@ class TestBoundary:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, extra, key",
+        [
+            (COIN_PREF + "lamda=1.6\n", [], "lamda"),
+            (COIN_PREF, ["--set", "gamma_pluss=0.9"], "gamma_pluss"),
+        ],
+        ids=["file", "set"],
+    )
+    def test_unknown_preference_key_exits_2(self, tmp_path, capsys, text, extra, key):
+        pref = tmp_path / "p.cfg"
+        pref.write_text(text)
+        out = tmp_path / "o"
+        assert main(["check-wellposed", "--pref", str(pref), "--out", str(out)] + extra) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--x0", "1e308"], ["--box", "1e308"]])
+    def test_overflowing_search_box_exits_2(self, tmp_path, coin_market_file, capsys, extra):
+        # the box width 2r overflowed inside numpy's uniform: exit 1
+        out = tmp_path / "o"
+        assert main(["optimize", "--market", str(coin_market_file), "--out", str(out)] + extra) == 2
+        assert "box" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_value_exits_2(self, tmp_path, coin_market_file, capsys):
+        # the inf gain side used to reach the JSON writer: exit 1
+        out = tmp_path / "o"
+        argv = ["value", "--market", str(coin_market_file), "--x0", "1e308", "--theta", "1e308"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_indented_comment_market_values(self, tmp_path, coin_market_file):
         header, body = coin_market_file.read_text().split("\n", 1)
         indented = tmp_path / "indented.mkt"

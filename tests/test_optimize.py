@@ -159,6 +159,28 @@ class TestOptimizePure:
         with pytest.raises(ValidationError, match=field):
             ladder(1, SearchConfig(**{field: bad}))
 
+    def test_overflowing_box_is_a_validation_error(self, coin_tree):
+        # the box width 2r overflowed inside numpy's uniform
+        with pytest.raises(ValidationError, match="box"):
+            optimize_pure(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
+                SearchConfig(box_radius=1e308),
+            )
+
+    @pytest.mark.parametrize("radius", [5e307, 1e307])
+    def test_box_doubled_past_the_doubles_is_a_validation_error(self, coin_tree, radius):
+        # linear gains beat square-root losses, so the winner keeps touching
+        # the box; the doubled box's width overflowed inside the poll
+        pref = PreferenceSpec(
+            utility=UtilityPair.power(1.0, 0.5),
+            distortion=DistortionPair(Distortion.identity(), Distortion.identity()),
+        )
+        with pytest.warns(UserWarning, match="gate"), pytest.raises(ValidationError, match="box"):
+            optimize_pure(
+                coin_tree, pref, 0.0, ReferenceSpec.zero(coin_tree),
+                SearchConfig(seed=1, box_radius=radius, multistart=1),
+            )
+
     def test_coin_model_finds_quarter(self, coin_tree):
         strat, val = optimize_pure(
             coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
@@ -346,6 +368,21 @@ class TestEntryPointValidation:
         ref = ReferenceSpec.constant(coin_tree, level)
         with pytest.raises(ValidationError, match=match):
             cpt_value(coin_tree, strategy, x0, ref, coin_model_preferences())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("x0", [1e308, -1e308])
+    def test_cpt_value_refuses_an_overflowing_side(self, coin_tree, x0):
+        # the leaf outcome 2e308 became a float inf, flagged admissible
+        strategy = PureStrategy.constant(coin_tree, 1e308)
+        with pytest.raises(ValidationError, match="overflow"):
+            cpt_value(coin_tree, strategy, x0, ReferenceSpec.zero(coin_tree), coin_model_preferences())
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_coin_value_refuses_an_overflowing_side(self):
+        # weights within the 1e-12 sum tolerance push w . |theta| past the double range
+        top = float(np.finfo(float).max)
+        with pytest.raises(ValidationError, match="overflow"):
+            coin_cpt_value([top, top], [0.5 + 4e-13, 0.5 + 4e-13])
 
     def test_terminal_wealth_refuses_infinite_capital(self, coin_tree):
         with pytest.raises(ValidationError, match="x0"):

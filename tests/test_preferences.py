@@ -203,6 +203,29 @@ class TestPreferenceFiles:
         with pytest.raises(ValidationError, match="famil"):
             parse_preferences("alpha_plus=0.5\nalpha_minus=1.0\nfamily_wplus=prelec\n")
 
+    @pytest.mark.parametrize(
+        "text, overrides, key",
+        [
+            ("alpha_plus=0.25\nalpha_minus=1.0\nlamda=1.6\n", None, "lamda"),
+            ("alpha_plus=0.25\nalpha_minus=1.0\n", {"gamma_pluss": "0.9"}, "gamma_pluss"),
+        ],
+        ids=["file", "override"],
+    )
+    def test_unknown_key_rejected(self, text, overrides, key):
+        # a misspelt key used to keep the default silently
+        with pytest.raises(ValidationError, match=key):
+            parse_preferences(text, overrides=overrides)
+
+    def test_every_read_key_accepted(self):
+        text = (
+            "alpha_plus=0.5\nalpha_minus=0.9\nk=2.0\nk_minus=2.25\nlambda=1.5\n"
+            "gamma_plus=0.8\ngamma_minus=0.7\nfamily_uplus=power\nfamily_uminus=power\n"
+            "family_wplus=power\nfamily_wminus=power\n"
+        )
+        pref = parse_preferences(text)
+        assert pref.utility.k_minus == 2.25 and pref.lam == 1.5
+        assert pref.distortion.gamma_plus == 0.8 and pref.distortion.gamma_minus == 0.7
+
     def test_coin_model_spec(self):
         pref = coin_model_preferences()
         assert pref.utility.alpha_plus == 0.25
