@@ -366,13 +366,17 @@ def leaf_wealth(tree: ScenarioTree, theta: np.ndarray, x0: float) -> np.ndarray:
 
     Every non-root node's row dot product is one stacked matmul; the sums
     then fold down ``tree.paths`` from the root, the same order as a
-    node-by-node recursion.
+    node-by-node recursion. A wealth past the double range is refused here,
+    where it arises.
     """
     rows = np.asarray(theta)[..., tree.parent_rows, :]
-    dots = np.matmul(rows[..., None, :], tree.increment_matrix[1:, :, None])[..., 0, 0]
-    wealth = float(x0)
-    for nodes in tree.paths[1:]:
-        wealth = wealth + dots[..., nodes - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.matmul(rows[..., None, :], tree.increment_matrix[1:, :, None])[..., 0, 0]
+        wealth = float(x0)
+        for nodes in tree.paths[1:]:
+            wealth = wealth + dots[..., nodes - 1]
+    if not np.isfinite(wealth).all():
+        raise ValidationError("terminal wealth overflows the double range")
     return wealth
 
 

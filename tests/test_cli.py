@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cpttree
 from cpttree import build_iid_market, emit_market
 from cpttree import cli
 from cpttree.cli import _dumps, main
@@ -142,13 +146,27 @@ class TestBoundary:
         assert "box" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_value_exits_2(self, tmp_path, coin_market_file, capsys):
         # the inf gain side used to reach the JSON writer: exit 1
         out = tmp_path / "o"
         argv = ["value", "--market", str(coin_market_file), "--x0", "1e308", "--theta", "1e308"]
         assert main(argv + ["--out", str(out)]) == 2
         assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_wealth_is_named_without_a_warning(self, tmp_path, coin_market_file):
+        # numpy's overflow warning reached stderr before the refusal, which
+        # named the CPT value instead of the wealth
+        out = tmp_path / "o"
+        argv = ["value", "--market", str(coin_market_file), "--x0", "1e308", "--theta", "1e308"]
+        src = os.path.dirname(os.path.dirname(cpttree.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "cpttree.cli", *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert "terminal wealth overflows" in run.stderr
+        assert "RuntimeWarning" not in run.stderr
         assert not out.exists()
 
     def test_indented_comment_market_values(self, tmp_path, coin_market_file):

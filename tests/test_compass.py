@@ -10,7 +10,16 @@ start in turn returns, the first best in start order winning.
 import numpy as np
 import pytest
 
-from cpttree import ReferenceSpec, build_iid_market, coin_model_preferences, optimize
+from cpttree import (
+    Distortion,
+    DistortionPair,
+    PreferenceSpec,
+    ReferenceSpec,
+    UtilityPair,
+    build_iid_market,
+    coin_model_preferences,
+    optimize,
+)
 from cpttree.optimize import SearchConfig, optimize_pure
 
 
@@ -282,10 +291,11 @@ def test_a_start_that_meets_a_nan_raises_among_live_starts():
         lockstep(f, z0s)
 
 
-def coin_search(monkeypatch, horizon, multistart, budget):
-    """A pure search on the +-1 coin tree with ``budget`` moves per start;
-    returns its strategy, the size in floats of every row-kernel block, and
-    the number of starts in each lockstep group."""
+def coin_search(monkeypatch, horizon, multistart, budget, pref=None, seed=3, **box):
+    """A pure search on the +-1 coin tree with ``budget`` moves per start
+    (coin-model preferences unless given); returns its strategy and value,
+    the size in floats of every row-kernel block, and the number of starts
+    in each lockstep group."""
     blocks, groups = [], []
     rows, run = optimize._cpt_rows, optimize._lockstep
 
@@ -301,25 +311,44 @@ def coin_search(monkeypatch, horizon, multistart, budget):
     monkeypatch.setattr(optimize, "_cpt_rows", recorded_rows)
     monkeypatch.setattr(optimize, "_lockstep", recorded_run)
     tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], horizon)
-    cfg = SearchConfig(seed=3, multistart=multistart, max_box_doublings=0)
-    strategy, _ = optimize_pure(tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(tree), cfg)
-    return strategy, blocks, groups
+    cfg = SearchConfig(seed=seed, multistart=multistart, max_box_doublings=0, **box)
+    found = optimize_pure(tree, pref or coin_model_preferences(), 0.0, ReferenceSpec.zero(tree), cfg)
+    return found, blocks, groups
 
 
 def test_stacked_blocks_stay_within_the_block_cap(monkeypatch):
     _, blocks, groups = coin_search(monkeypatch, 9, 16, 200)
-    assert groups == [17]  # the zero start and 16 random ones
+    assert groups == [8, 8, 1]  # the zero start and 16 random ones, eight to a group
     assert max(blocks) <= optimize._BLOCK_FLOATS
-    assert max(blocks) >= 17 * 2 * 512  # every start polled a coordinate in one call
+    assert max(blocks) >= 8 * 2 * 512  # every start of a group polled a coordinate in one call
 
 
 def test_starts_are_grouped_when_their_blocks_do_not_fit(monkeypatch):
-    # 4096 leaves: a start's smallest block is two rows of 4096 floats, so
+    # 1024 leaves: a start's smallest block is two rows of 1024 floats, so
     # four starts fill the cap and the starts run in groups of four
-    strategy, blocks, groups = coin_search(monkeypatch, 12, 10, 30)
+    (strategy, _), blocks, groups = coin_search(monkeypatch, 10, 10, 30)
     assert groups == [4, 4, 3]
     assert max(blocks) <= optimize._BLOCK_FLOATS
     # grouping changes no result: one group of all starts finds the same strategy
     monkeypatch.setattr(optimize, "_BLOCK_FLOATS", 1 << 20)
-    alone, _, groups = coin_search(monkeypatch, 12, 10, 30)
+    (alone, _), _, groups = coin_search(monkeypatch, 10, 10, 30)
     assert groups == [11] and alone == strategy
+
+
+def test_block_cap_changes_no_result_on_a_wide_law(monkeypatch):
+    # the coarse search of the benchmark's deep workload: 511 coordinates of
+    # a 512-leaf law, where a cap of 2**11 floats binds at two rows a start
+    pref = PreferenceSpec(
+        utility=UtilityPair.power(0.5, 1.0, k=2.25),
+        distortion=DistortionPair(Distortion.identity(), Distortion.identity()),
+    )
+    found = []
+    for cap in (1 << 11, 1 << 13, 1 << 15):
+        monkeypatch.setattr(optimize, "_BLOCK_FLOATS", cap)
+        (strategy, value), blocks, _ = coin_search(
+            monkeypatch, 9, 1, optimize._EVAL_BUDGET, pref, seed=0, box_radius=0.5, tol=0.15
+        )
+        found.append((strategy, value))
+        assert max(blocks) <= cap
+    assert max(blocks) > 1 << 13  # the largest cap was used
+    assert all(f == found[0] for f in found)

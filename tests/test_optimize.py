@@ -369,7 +369,6 @@ class TestEntryPointValidation:
         with pytest.raises(ValidationError, match=match):
             cpt_value(coin_tree, strategy, x0, ref, coin_model_preferences())
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("x0", [1e308, -1e308])
     def test_cpt_value_refuses_an_overflowing_side(self, coin_tree, x0):
         # the leaf outcome 2e308 became a float inf, flagged admissible

@@ -10,6 +10,8 @@ from cpttree import (
     ScenarioTree,
     ValidationError,
     build_iid_market,
+    coin_model_preferences,
+    cpt_value,
     emit_market,
     parse_market,
     terminal_wealth,
@@ -60,6 +62,19 @@ class TestTerminalWealth:
         tree = one_step_coin()
         with pytest.raises(ValidationError, match="non-strategy node"):
             terminal_wealth(tree, PureStrategy({0: (0.0,), 1: (1.0,)}), 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [terminal_wealth, cpt_value])
+    @pytest.mark.parametrize("x0", [1e308, -1e308])
+    def test_overflowing_wealth_is_refused_without_a_warning(self, value, x0):
+        # x0 + 1e308 * (+-1) passes the double range on one leaf; numpy's
+        # overflow warning used to come first, and cpt_value blamed the CPT value
+        tree = one_step_coin()
+        args = (tree, PureStrategy.constant(tree, 1e308), x0)
+        if value is cpt_value:
+            args += (ReferenceSpec.zero(tree), coin_model_preferences())
+        with pytest.raises(ValidationError, match="terminal wealth overflows"):
+            value(*args)
 
     def test_linearity_exact_on_dyadic_data(self):
         # dyadic increments, allocations and coefficients make float
