@@ -17,9 +17,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .choquet import segment_sums
 from .errors import CertificateError, ValidationError
-from .tree import PROB_TOL, ScenarioTree
+from .tree import PROB_TOL, ScenarioTree, segment_sums
 
 # floats of one (candidate, child) temporary in the tail pass
 _TAIL_FLOATS = 1 << 16

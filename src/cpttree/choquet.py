@@ -25,6 +25,7 @@ from .tree import (
     Strategy,
     finite_capital,
     leaf_wealth,
+    segment_sums,
 )
 
 
@@ -79,18 +80,6 @@ class _Law:
         self.sorted = None if self.equal else probs[self.by_prob]
 
 
-def segment_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each run of ``values`` from the increasing offsets ``first``,
-    bitwise: ``reduceat`` starts a run from its first item and ``np.sum`` from
-    0.0, in the same pairwise order after it, so every run is led by a 0.0."""
-    heads = first + np.arange(first.size)
-    rest = np.ones(values.size + first.size, dtype=bool)
-    rest[heads] = False
-    led = np.zeros(rest.size)
-    led[rest] = values
-    return np.add.reduceat(led, heads)
-
-
 def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> np.ndarray:
     """Distorted survival integral of each row of a (K, L) block of
     nonnegative atom values sharing the L probabilities of ``law``. With
@@ -100,8 +89,11 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
 
     Each row is put in the canonical atom order (by value, ties by
     probability, then by position): with equal probabilities a plain sort of
-    the values is that order; otherwise the columns go in probability order
-    and one stable sort of each row by value keeps that order among ties.
+    the values is that order, done in place in ``values``; otherwise the
+    columns go in probability order and one stable sort of each row by value
+    keeps that order among ties. Reordering within a row never changes its
+    value, but it does change the block, so only a caller that owns
+    ``values`` may pass it.
     One flat ``reduceat`` merges the tie masses, suffix sums are sequential
     cumulative sums of each reversed row, the distortion and the products
     are elementwise, and ``segment_sums`` adds each row's terms as ``np.sum``
@@ -121,7 +113,8 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     if np.count_nonzero(values < 0.0):
         raise ValidationError("choquet_nonneg requires nonnegative atom values")
     if law.equal:
-        v = np.sort(values, axis=1)
+        values.sort(axis=1)
+        v = values
     else:
         by_prob = values[:, law.by_prob]
         order = by_prob.argsort(axis=1, kind="stable")
@@ -196,6 +189,20 @@ class CPTValue:
         }
 
 
+def _leaf_outcomes(
+    tree: ScenarioTree, theta: np.ndarray, x0: float, benchmark: np.ndarray
+) -> np.ndarray:
+    """Leaf outcomes X_T - B of allocations stacked as for ``leaf_wealth``. An
+    outcome past the double range is refused here, where it arises, as
+    ``leaf_wealth`` refuses a wealth."""
+    wealth = leaf_wealth(tree, theta, x0)
+    with np.errstate(over="ignore"):
+        outs = wealth - benchmark
+    if not np.isfinite(outs).all():
+        raise ValidationError("leaf outcome X_T - B overflows the double range")
+    return outs
+
+
 class OutcomeEngine:
     """Leaf outcomes X_T - B of flat allocations, and their moves one variable at a time.
 
@@ -235,7 +242,7 @@ class OutcomeEngine:
         """Outcomes of one flat allocation vector, or of several stacked end to
         end (a mixture's atoms), concatenated in the same order."""
         per_atom = np.reshape(flat_theta, (-1, len(self.tree.nonterminal_ids), self.tree.asset_dim))
-        return (leaf_wealth(self.tree, per_atom, x0) - self.benchmark).ravel()
+        return _leaf_outcomes(self.tree, per_atom, x0, self.benchmark).ravel()
 
     def shift(self, base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         """Copies of ``base``, one outcome vector or one row per move, row k
@@ -275,7 +282,7 @@ def _strategy_outcome_law(
     """Product law of the external mixing atom and the tree scenario."""
     atoms = _atoms(strategy)
     thetas = np.stack([pure.as_matrix(tree) for _, pure in atoms])
-    outs = leaf_wealth(tree, thetas, x0) - benchmark
+    outs = _leaf_outcomes(tree, thetas, x0, benchmark)
     return outs.ravel(), np.concatenate([w * tree.leaf_prob for w, _ in atoms])
 
 
@@ -283,13 +290,14 @@ def _cpt_sides(
     outcomes: np.ndarray, law: _Law | np.ndarray, pref: PreferenceSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gain and loss sides of every row of a (K, L) outcome block, from one
-    kernel call."""
-    gains = np.asarray(pref.utility.u_plus(np.maximum(outcomes, 0.0)), dtype=float)
-    losses = np.asarray(pref.utility.u_minus(np.maximum(-outcomes, 0.0)), dtype=float)
-    both = _choquet_rows(
-        np.concatenate((gains, losses)), law, pref.distortion.plus, pref.distortion.minus
-    )
-    return both[: len(outcomes)], both[len(outcomes) :]
+    kernel call on one (2K, L) block of gain and loss utilities, which the
+    kernel may sort in place."""
+    n_rows = len(outcomes)
+    utilities = np.empty((2 * n_rows, outcomes.shape[1]))
+    utilities[:n_rows] = pref.utility.u_plus(np.maximum(outcomes, 0.0))
+    utilities[n_rows:] = pref.utility.u_minus(np.maximum(-outcomes, 0.0))
+    both = _choquet_rows(utilities, law, pref.distortion.plus, pref.distortion.minus)
+    return both[:n_rows], both[n_rows:]
 
 
 def cpt_value_from_outcomes(

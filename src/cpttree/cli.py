@@ -15,24 +15,44 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .arbitrage import marche_certificate, validate_certificate
-from .choquet import cpt_value
+from . import __version__, _from_module
 from .errors import ValidationError
-from .optimize import SearchConfig, ladder, optimize_pure, optimize_randomized
-from .preferences import (
-    DistortionPair,
-    Distortion,
-    PreferenceSpec,
-    UtilityPair,
-    check_conditions,
-    coin_model_preferences,
-    parse_preferences,
+from .tree import _fmt
+
+if TYPE_CHECKING:
+    from .preferences import PreferenceSpec
+    from .tree import PureStrategy
+
+# The library names the subcommands call. A run reads each through ``_lib``,
+# so it imports only the modules its subcommand calls. Code outside this
+# module that reads one of them (a test's monkeypatch, a tracer's wrapper)
+# binds them all here at once, the objects an eager import of them binds.
+_LIBRARY = (
+    "marche_certificate", "validate_certificate", "cpt_value", "SearchConfig", "ladder",
+    "optimize_pure", "optimize_randomized", "DistortionPair", "Distortion", "PreferenceSpec",
+    "UtilityPair", "check_conditions", "coin_model_preferences", "parse_preferences",
+    "SELF_TEST_SEED", "toolkit_self_test", "PureStrategy", "ReferenceSpec", "parse_market",
+    "illposed_demo",
 )
-from .randtools import SELF_TEST_SEED, toolkit_self_test
-from .tree import PureStrategy, ReferenceSpec, _fmt, parse_market
-from .wellposed import illposed_demo
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    bound = globals()
+    for n in _LIBRARY:
+        if n not in bound:
+            bound[n] = _from_module(n)
+    return bound[name]
+
+
+def _lib(name: str):
+    """The library object ``name``: as bound on this module if it is, else as
+    its module binds it now."""
+    bound = globals()
+    return bound[name] if name in bound else _from_module(name)
 
 
 def _dumps(obj, indent: int = 0) -> str:
@@ -135,13 +155,14 @@ def _load_preferences(run: _Run, path: str | None, overrides: list[str]) -> Pref
     if path is None:
         if kv:
             raise ValidationError("--set requires --pref")
-        return coin_model_preferences()
-    return parse_preferences(run.read_input(path), overrides=kv)
+        return _lib("coin_model_preferences")()
+    return _lib("parse_preferences")(run.read_input(path), overrides=kv)
 
 
 def _strategy_from_args(run: _Run, tree, args) -> PureStrategy:
     if (args.theta is None) == (args.strategy is None):
         raise ValidationError("provide exactly one of --theta or --strategy")
+    PureStrategy = _lib("PureStrategy")
     if args.theta is not None:
         return PureStrategy.constant(tree, args.theta)
     payload = json.loads(run.read_input(args.strategy))
@@ -199,22 +220,22 @@ def _parse_floats(text: str, option: str) -> list[float]:
 
 
 def _cmd_value(run: _Run, args) -> int:
-    tree = parse_market(run.read_input(args.market))
+    tree = _lib("parse_market")(run.read_input(args.market))
     pref = _load_preferences(run, args.pref, args.set)
     strategy = _strategy_from_args(run, tree, args)
-    ref = ReferenceSpec.constant(tree, args.benchmark)
-    value = cpt_value(tree, strategy, args.x0, ref, pref)
+    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
+    value = _lib("cpt_value")(tree, strategy, args.x0, ref, pref)
     run.write_json("value.json", value.to_json_dict())
     return 0
 
 
 def _cmd_optimize(run: _Run, args) -> int:
-    tree = parse_market(run.read_input(args.market))
+    tree = _lib("parse_market")(run.read_input(args.market))
     pref = _load_preferences(run, args.pref, args.set)
-    ref = ReferenceSpec.constant(tree, args.benchmark)
-    cfg = SearchConfig(box_radius=args.box, multistart=args.multistart, seed=args.seed)
+    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
+    cfg = _lib("SearchConfig")(box_radius=args.box, multistart=args.multistart, seed=args.seed)
     if args.atoms > 1:
-        strategy, value = optimize_randomized(tree, pref, args.x0, ref, args.atoms, cfg)
+        strategy, value = _lib("optimize_randomized")(tree, pref, args.x0, ref, args.atoms, cfg)
         payload = {
             "value": value.to_json_dict(),
             "n_atoms": args.atoms,
@@ -223,7 +244,7 @@ def _cmd_optimize(run: _Run, args) -> int:
             ],
         }
     else:
-        strategy, value = optimize_pure(tree, pref, args.x0, ref, cfg)
+        strategy, value = _lib("optimize_pure")(tree, pref, args.x0, ref, cfg)
         payload = {
             "value": value.to_json_dict(),
             "n_atoms": 1,
@@ -234,8 +255,8 @@ def _cmd_optimize(run: _Run, args) -> int:
 
 
 def _cmd_ladder(run: _Run, args) -> int:
-    cfg = SearchConfig(box_radius=args.box, multistart=args.multistart, seed=args.seed)
-    result = ladder(args.n, cfg)
+    cfg = _lib("SearchConfig")(box_radius=args.box, multistart=args.multistart, seed=args.seed)
+    result = _lib("ladder")(args.n, cfg)
     csv = "n,M_n\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(result.values))
     run.write("ladder.csv", csv)
     run.write_json(
@@ -246,14 +267,15 @@ def _cmd_ladder(run: _Run, args) -> int:
 
 
 def _cmd_illposed(run: _Run, args) -> int:
-    pref = PreferenceSpec(
-        utility=UtilityPair.power(args.alpha_plus, args.alpha_minus, k=args.k_minus),
-        distortion=DistortionPair(
+    Distortion = _lib("Distortion")
+    pref = _lib("PreferenceSpec")(
+        utility=_lib("UtilityPair").power(args.alpha_plus, args.alpha_minus, k=args.k_minus),
+        distortion=_lib("DistortionPair")(
             Distortion.power(args.gamma_plus), Distortion.power(args.gamma_minus)
         ),
     )
     n_list = _parse_floats(args.scan, "--scan")
-    report, rows = illposed_demo(pref, args.ell, n_list)
+    report, rows = _lib("illposed_demo")(pref, args.ell, n_list)
     run.write_json("report.json", report.to_json_dict())
     csv = "n,v_plus,v_minus,v\n" + "".join(
         f"{_fmt(r.n)},{_fmt(r.v_plus)},{_fmt(r.v_minus)},{_fmt(r.v)}\n" for r in rows
@@ -264,13 +286,13 @@ def _cmd_illposed(run: _Run, args) -> int:
 
 def _cmd_check_wellposed(run: _Run, args) -> int:
     pref = _load_preferences(run, args.pref, args.set)
-    run.write_json("report.json", check_conditions(pref).to_json_dict())
+    run.write_json("report.json", _lib("check_conditions")(pref).to_json_dict())
     return 0
 
 
 def _cmd_marche(run: _Run, args) -> int:
-    tree = parse_market(run.read_input(args.market))
-    cert = marche_certificate(tree, _parse_floats(args.pi, "--pi"), args.direction_samples)
+    tree = _lib("parse_market")(run.read_input(args.market))
+    cert = _lib("marche_certificate")(tree, _parse_floats(args.pi, "--pi"), args.direction_samples)
     payload: dict = {
         "sampled": cert.sampled,
         "direction_samples": cert.direction_samples,
@@ -281,7 +303,7 @@ def _cmd_marche(run: _Run, args) -> int:
     if (args.validate_kappa is None) != (args.validate_pi is None):
         raise ValidationError("--validate-kappa and --validate-pi go together")
     if args.validate_kappa is not None:
-        ok, node = validate_certificate(
+        ok, node = _lib("validate_certificate")(
             tree,
             _parse_floats(args.validate_kappa, "--validate-kappa"),
             _parse_floats(args.validate_pi, "--validate-pi"),
@@ -296,7 +318,7 @@ def _cmd_marche(run: _Run, args) -> int:
 
 
 def _cmd_toolkit(run: _Run, args) -> int:
-    report = toolkit_self_test(args.seed)
+    report = _lib("toolkit_self_test")(args.seed)
     run.write_json("selftest.json", report)
     return 0 if report["all_passed"] else 1
 
@@ -373,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("toolkit", help="probability toolkit utilities")
     sp.add_argument("action", choices=["self-test"])
-    sp.add_argument("--seed", type=_int_at_least(0), default=SELF_TEST_SEED)
+    # None stands for the toolkit's own seed, which ``main`` reads only when
+    # the toolkit runs
+    sp.add_argument("--seed", type=_int_at_least(0), default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_toolkit)
 
@@ -387,6 +411,8 @@ _NOT_PARAMETERS = {"command", "func", "out", "format", "action"}
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv if argv is not None else sys.argv[1:])
+    if args.command == "toolkit" and args.seed is None:
+        args.seed = _lib("SELF_TEST_SEED")
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     subcommand = f"{args.command} {args.action}" if args.command == "toolkit" else args.command
     run = _Run(subcommand, args.out, params, args.format)

@@ -261,9 +261,20 @@ def _multistart(
     return best_z, best_v
 
 
-def _check_box(radius: float) -> None:
+def _check_box(radius: float, centre: np.ndarray, reach: np.ndarray) -> None:
+    """Refuse a box whose width or whose leaf outcomes can leave the double
+    range. ``centre`` holds the leaf outcomes at the box centre and ``reach``
+    the l1 norm of each leaf's path increments, so every outcome in the box
+    lies within radius * reach of its centre. Twice that bound must be
+    finite: a move's delta times an increment reaches twice radius * reach."""
     if not np.isfinite(2.0 * radius):
         raise ValidationError(f"search box radius {radius!r} is too large: its width overflows")
+    with np.errstate(over="ignore"):
+        bound = 2.0 * (np.abs(centre) + radius * reach)
+    if not np.isfinite(bound).all():
+        raise ValidationError(
+            f"search box radius {radius!r} is too large: its leaf outcomes can overflow"
+        )
 
 
 def _search_tree(
@@ -293,13 +304,15 @@ def _search_tree(
             lambda z: engine.outcomes(stacked_phi + z, x0), z0s, -radius, radius, cfg.tol,
         )[0]
 
-    _check_box(radius)
+    centre = engine.outcomes(phi, x0)
+    reach = np.abs(engine.matrix).sum(axis=(0, 1))
+    _check_box(radius, centre, reach)
     best_z = search(starts(phi, radius, np.random.default_rng(cfg.seed)))
     for _ in range(max_doublings):
         if np.max(np.abs(best_z)) < radius * (1 - 1e-9):
             break
         radius *= 2.0
-        _check_box(radius)
+        _check_box(radius, centre, reach)
         best_z = search([best_z])
     atoms = (stacked_phi + best_z).reshape(n_atoms, -1)
     return [PureStrategy.from_flat(tree, theta) for theta in atoms], radius

@@ -25,6 +25,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def segment_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each run of ``values`` from the increasing offsets ``first``,
+    bitwise: ``reduceat`` starts a run from its first item and ``np.sum`` from
+    0.0, in the same pairwise order after it, so every run is led by a 0.0."""
+    heads = first + np.arange(first.size)
+    rest = np.ones(values.size + first.size, dtype=bool)
+    rest[heads] = False
+    led = np.zeros(rest.size)
+    led[rest] = values
+    return np.add.reduceat(led, heads)
+
+
 @dataclass(frozen=True)
 class ScenarioTree:
     """Event tree with per-node transition probabilities and increments.

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +171,29 @@ class TestBoundary:
         assert "RuntimeWarning" not in run.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            # numpy warned from the outcome subtraction, then the refusal named
+            # v_plus (value) or the search called it an internal error (exit 1)
+            (["value", "--x0", "1e308", "--theta", "0", "--benchmark=-1e308"], "leaf outcome"),
+            (["optimize", "--x0", "1e308", "--benchmark=-1e308", "--box", "1"], "leaf outcome"),
+            # 2r is finite, but the shifted outcomes overflowed inside the poll: exit 1
+            (["optimize", "--x0", "1.7e308", "--box", "1e307"], "box"),
+            (["optimize", "--x0", "1.7e308", "--box", "1e307", "--atoms", "2"], "box"),
+        ],
+        ids=["value", "optimize", "box", "box-atoms-2"],
+    )
+    @pytest.mark.filterwarnings("error")  # a warning would end the run as exit 1
+    def test_overflowing_outcomes_exit_2_without_a_warning(
+        self, tmp_path, coin_market_file, capsys, extra, message
+    ):
+        out = tmp_path / "o"
+        argv = [extra[0], "--market", str(coin_market_file), *extra[1:], "--out", str(out)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_indented_comment_market_values(self, tmp_path, coin_market_file):
         header, body = coin_market_file.read_text().split("\n", 1)
         indented = tmp_path / "indented.mkt"
@@ -202,16 +227,45 @@ class TestIntegerOptions:
         assert not out.exists()
 
 
+class TestLazyImports:
+    def test_package_exports_every_name(self):
+        assert set(cpttree.__all__) <= set(dir(cpttree))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cpttree.no_such_name
+        namespace: dict = {}
+        exec("from cpttree import *", namespace)
+        for name in cpttree.__all__:
+            assert namespace[name] is getattr(cpttree, name)
+
+    def test_traced_cli_names_resolve(self):
+        # the benchmark's tracer wraps these names on the cli module
+        tracing = Path(__file__).resolve().parents[1] / "cptbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("cptbench_tracing", tracing)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        names = [attr for mod, attr, _, _ in module.PATCHES if mod == "cli"]
+        assert "parse_market" in names and "main" in names
+        for name in names:
+            # bound as an eager import binds it: the object its module binds
+            expected = cli.main if name == "main" else cpttree._from_module(name)
+            assert getattr(cli, name) is expected
+
+
 class TestArtifactWrites:
     def test_failed_run_writes_nothing(self, tmp_path, monkeypatch):
-        # the CSV is formatted before the JSON refuses the NaN argmax
-        monkeypatch.setattr(
-            cli, "ladder", lambda n, cfg: LadderResult(values=(0.5,), argmax=((float("nan"),),))
-        )
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["randomization-ladder", "--n", "0", "--out", str(out)]) == 1
-        assert list(out.iterdir()) == []
+        # a name patched on the cli module is the one its subcommand calls
+        for name, fake, argv in [
+            # the CSV is formatted before the JSON refuses the NaN argmax
+            ("ladder", lambda n, cfg: LadderResult(values=(0.5,), argmax=((float("nan"),),)),
+             ["randomization-ladder", "--n", "0"]),
+            ("toolkit_self_test", lambda seed: {"all_passed": True, "ks": float("nan")},
+             ["toolkit", "self-test"]),
+        ]:
+            monkeypatch.setattr(cli, name, fake)
+            out = tmp_path / name
+            out.mkdir()
+            assert main(argv + ["--out", str(out)]) == 1
+            assert list(out.iterdir()) == []
 
     def test_finished_run_leaves_no_temporary_file(self, tmp_path):
         out = tmp_path / "out"

@@ -181,6 +181,31 @@ class TestOptimizePure:
                 SearchConfig(seed=1, box_radius=radius, multistart=1),
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_box_whose_outcomes_overflow_is_a_validation_error(self, coin_tree):
+        # 2r is finite, but x0 + r passes the double range: the shifted
+        # outcomes overflowed inside the poll, a RuntimeError after numpy's warning
+        with pytest.raises(ValidationError, match="outcomes can overflow"):
+            optimize_pure(
+                coin_tree, coin_model_preferences(), 1.7e308, ReferenceSpec.zero(coin_tree),
+                SearchConfig(box_radius=1e307),
+            )
+
+    def test_box_doubled_until_its_outcomes_overflow_is_a_validation_error(self, coin_tree):
+        # the box of radius 4e307 around x0 = 2e307 fits the doubles; the
+        # winner touches it, and the doubled box's outcomes would not fit
+        pref = PreferenceSpec(
+            utility=UtilityPair.power(1.0, 0.5),
+            distortion=DistortionPair(Distortion.identity(), Distortion.identity()),
+        )
+        with pytest.warns(UserWarning, match="gate"), pytest.raises(
+            ValidationError, match="8e\\+307 is too large: its leaf outcomes can overflow"
+        ):
+            optimize_pure(
+                coin_tree, pref, 2e307, ReferenceSpec.zero(coin_tree),
+                SearchConfig(seed=1, box_radius=4e307, multistart=1),
+            )
+
     def test_coin_model_finds_quarter(self, coin_tree):
         strat, val = optimize_pure(
             coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
@@ -375,6 +400,17 @@ class TestEntryPointValidation:
         strategy = PureStrategy.constant(coin_tree, 1e308)
         with pytest.raises(ValidationError, match="overflow"):
             cpt_value(coin_tree, strategy, x0, ReferenceSpec.zero(coin_tree), coin_model_preferences())
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outcome_is_refused_without_a_warning(self, coin_tree):
+        # X_T - B overflowed after the wealth check: numpy warned, then
+        # cpt_value named v_plus and the search raised a RuntimeError
+        pref = coin_model_preferences()
+        ref = ReferenceSpec.constant(coin_tree, -1e308)
+        with pytest.raises(ValidationError, match="leaf outcome X_T - B overflows"):
+            cpt_value(coin_tree, PureStrategy.zeros(coin_tree), 1e308, ref, pref)
+        with pytest.raises(ValidationError, match="leaf outcome X_T - B overflows"):
+            optimize_pure(coin_tree, pref, 1e308, ref, SearchConfig(box_radius=1.0))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_coin_value_refuses_an_overflowing_side(self):

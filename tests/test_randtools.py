@@ -210,6 +210,8 @@ class TestSplitUniform:
         # No scipy module at all: neither the import nor single-asset calls need it.
         code = (
             "import sys, pathlib\n"
+            "import cpttree\n"
+            "assert not [m for m in sys.modules if m.startswith('cpttree.')]\n"
             "import cpttree.cli as cli\n"
             "from cpttree import build_iid_market, emit_market\n"
             "tmp = pathlib.Path(sys.argv[1])\n"
@@ -222,6 +224,21 @@ class TestSplitUniform:
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         assert self.run_fresh(code, tmp_path) == "[]"
+        # a run imports only the modules its subcommand calls
+        pref = tmp_path / "coin.cfg"
+        pref.write_text("alpha_plus=0.25\nalpha_minus=1.0\nfamily_wplus=power\ngamma_plus=0.5\n")
+        code = (
+            "import sys\n"
+            "from cpttree import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m.split('.')[1] for m in sys.modules if m.startswith('cpttree.')))\n"
+        )
+        for argv, modules in [
+            (["toolkit", "self-test"], "cli errors randtools tree"),
+            (["marche-check", "--market", tmp_path / "coin.mkt"], "arbitrage cli errors tree"),
+            (["check-wellposed", "--pref", pref], "cli errors preferences tree"),
+        ]:
+            assert self.run_fresh(code, *argv, "--out", tmp_path / argv[0]) == modules
 
     def test_two_asset_arbitrage_lp_runs_from_cold_start(self):
         atoms = [(1 / 3, (1.0, 0.0)), (1 / 3, (-1.0, 0.0)), (1 / 3, (0.0, 1.0))]
