@@ -22,6 +22,8 @@ from .tree import PROB_TOL, ScenarioTree, segment_sums
 
 # floats of one (candidate, child) temporary in the tail pass
 _TAIL_FLOATS = 1 << 16
+# seed of the Gaussian directions ``unit_directions`` draws for d >= 4
+_DIRECTION_SEED = 13
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,10 @@ def check_R(tree: ScenarioTree) -> tuple[bool, int | None]:
     return node is None, node
 
 
-def unit_directions(d: int, n_samples: int, seed: int = 13) -> np.ndarray:
+def unit_directions(d: int, n_samples: int) -> np.ndarray:
     """Quasi-uniform unit vectors: exact +-1 for d=1, equiangular for d=2,
-    spherical spiral for d=3, seeded Gaussian normalization beyond."""
+    spherical spiral for d=3, Gaussian normalization beyond, seeded with
+    ``_DIRECTION_SEED``."""
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if n_samples < 2:
@@ -127,7 +130,7 @@ def unit_directions(d: int, n_samples: int, seed: int = 13) -> np.ndarray:
         return np.column_stack(
             [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DIRECTION_SEED)
     v = rng.standard_normal((n_samples, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 

@@ -8,9 +8,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tree import ScenarioTree, _fmt
+from .tree import ScenarioTree, _fmt, content_lines, float_vector
 
 PMF_SUM_TOL = 1e-9
+# random directions per state, and their seed, of the ellipticity spot-check
+_ELLIPTICITY_DIRECTIONS = 16
+_ELLIPTICITY_SEED = 0
 
 # (probability, outcome vector)
 Pmf = list[tuple[float, tuple[float, ...]]]
@@ -25,8 +28,7 @@ def normalize_pmf(pmf: Sequence[tuple[float, Sequence[float] | float]]) -> Pmf:
     for p, v in pmf:
         if not 0.0 < p <= 1.0:
             raise ValidationError(f"pmf probability {p} outside (0, 1]")
-        vec = (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
-        out.append((float(p), vec))
+        out.append((float(p), float_vector(v)))
         total += float(p)
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ValidationError(f"pmf probabilities sum to {total!r}")
@@ -119,10 +121,11 @@ class DiffusionSpec:
 
 
 def ellipticity_violations(
-    spec: DiffusionSpec, states: Sequence[np.ndarray], n_directions: int = 16, seed: int = 0
+    spec: DiffusionSpec, states: Sequence[np.ndarray]
 ) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Spot-check v' vol(x) vol(x)' v >= floor * |v|^2 on sampled (x, v) pairs."""
-    rng = np.random.default_rng(seed)
+    """Spot-check v' vol(x) vol(x)' v >= floor * |v|^2 at each state x, for
+    the unit axes and up to 16 seeded Gaussian directions v per state."""
+    rng = np.random.default_rng(_ELLIPTICITY_SEED)
     bad = []
     for x in states:
         sig = np.asarray(spec.volatility(np.asarray(x, dtype=float)), dtype=float)
@@ -130,7 +133,7 @@ def ellipticity_violations(
             raise ValidationError("volatility must return a state_dim x noise_dim matrix")
         gram = sig @ sig.T
         dirs = [np.eye(spec.state_dim)[i] for i in range(spec.state_dim)]
-        for _ in range(n_directions):
+        for _ in range(_ELLIPTICITY_DIRECTIONS):
             v = rng.standard_normal(spec.state_dim)
             norm = np.linalg.norm(v)
             if norm > 0:
@@ -223,10 +226,7 @@ def emit_pmf(pmf: Pmf) -> str:
 def parse_pmf(text: str) -> Pmf:
     """Parse 'atom <prob> <v1> ...' lines into a pmf."""
     pmf: list[tuple[float, tuple[float, ...]]] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in content_lines(text):
         tok = ln.split()
         if tok[0] != "atom" or len(tok) < 3:
             raise ValidationError(f"bad pmf line {ln!r}")

@@ -17,12 +17,12 @@ from .errors import ValidationError
 from .extreal import POS_INF, ExtReal, ext_sub, is_finite, is_inf
 from .preferences import PreferenceSpec
 from .tree import (
-    PROB_TOL,
     PureStrategy,
     RandomizedStrategy,
     ReferenceSpec,
     ScenarioTree,
     Strategy,
+    check_masses,
     finite_capital,
     leaf_wealth,
     segment_sums,
@@ -36,17 +36,9 @@ class DiscreteRV:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValidationError("discrete law needs at least one atom")
-        total = 0.0
-        for v, p in self.atoms:
-            if not np.isfinite(v):
-                raise ValidationError("atom values must be finite")
-            if not 0.0 < p <= 1.0:
-                raise ValidationError(f"atom probability {p} outside (0, 1]")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"atom probabilities sum to {total!r}, not 1")
+        if not all(np.isfinite(v) for v, _ in self.atoms):
+            raise ValidationError("atom values must be finite")
+        check_masses([p for _, p in self.atoms], "discrete law", "probability", "probabilities")
 
     @classmethod
     def from_arrays(cls, values: Sequence[float], probs: Sequence[float]) -> "DiscreteRV":

@@ -291,6 +291,8 @@ def _cmd_check_wellposed(run: _Run, args) -> int:
 
 
 def _cmd_marche(run: _Run, args) -> int:
+    if (args.validate_kappa is None) != (args.validate_pi is None):
+        raise ValidationError("--validate-kappa and --validate-pi go together")
     tree = _lib("parse_market")(run.read_input(args.market))
     cert = _lib("marche_certificate")(tree, _parse_floats(args.pi, "--pi"), args.direction_samples)
     payload: dict = {
@@ -300,8 +302,6 @@ def _cmd_marche(run: _Run, args) -> int:
             {"node": n, "kappa": kp, "pi": pp} for n, (kp, pp) in sorted(cert.entries.items())
         ],
     }
-    if (args.validate_kappa is None) != (args.validate_pi is None):
-        raise ValidationError("--validate-kappa and --validate-pi go together")
     if args.validate_kappa is not None:
         ok, node = _lib("validate_certificate")(
             tree,

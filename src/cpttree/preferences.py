@@ -15,15 +15,22 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ValidationError
+from .tree import content_lines
 
 _ENVELOPE_GRID = np.concatenate(([0.0], np.logspace(-6.0, 6.0, 49)))
 _UNIT_GRID = np.linspace(0.0, 1.0, 201)
 
 
-def tk_distortion(gamma: float, p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse-S probability weighting p^g / (p^g + (1-p)^g)^(1/g); exact at 0 and 1."""
+def _distortion_gamma(gamma: float) -> float:
+    """A distortion exponent as a float; refused outside (0, 1]."""
     if not 0.0 < gamma <= 1.0:
         raise ValidationError("gamma must lie in (0, 1]")
+    return float(gamma)
+
+
+def tk_distortion(gamma: float, p: float | np.ndarray) -> float | np.ndarray:
+    """Inverse-S probability weighting p^g / (p^g + (1-p)^g)^(1/g); exact at 0 and 1."""
+    _distortion_gamma(gamma)
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValidationError("p must lie in [0, 1]")
@@ -56,17 +63,13 @@ class Distortion:
 
     @classmethod
     def power(cls, gamma: float) -> "Distortion":
-        if not 0.0 < gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0, 1]")
-        g = float(gamma)
+        g = _distortion_gamma(gamma)
         # p^g <= p^g and p^g >= p on [0, 1]
         return cls("power", g, lambda p: np.asarray(p, dtype=float) ** g, g_upper=1.0, g_lower=1.0)
 
     @classmethod
     def tk(cls, gamma: float) -> "Distortion":
-        if not 0.0 < gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0, 1]")
-        g = float(gamma)
+        g = _distortion_gamma(gamma)
         # denominator of the weight lies in [1, 2^{1-g}], hence the two envelopes
         return cls(
             "tk",
@@ -186,15 +189,19 @@ class UtilityPair:
         )
 
 
+def _lambda_bounds(utility: UtilityPair, distortion: DistortionPair) -> tuple[float, float]:
+    """The ends (1/gamma_plus, alpha_minus/alpha_plus) of lambda's feasible interval."""
+    return 1.0 / distortion.gamma_plus, utility.alpha_minus / utility.alpha_plus
+
+
 def _lambda_interval(
     utility: UtilityPair, distortion: DistortionPair
 ) -> tuple[float, float] | None:
-    """The feasible interval (1/gamma_plus, alpha_minus/alpha_plus) of lambda,
-    or None when no double lies strictly inside it. This is the decisive gate
-    alpha_plus/gamma_plus < alpha_minus as floats can use it: an interval
-    whose ends are adjacent doubles holds no lambda."""
-    lo = 1.0 / distortion.gamma_plus
-    hi = utility.alpha_minus / utility.alpha_plus
+    """The feasible interval of lambda, or None when no double lies strictly
+    inside it. This is the decisive gate alpha_plus/gamma_plus < alpha_minus
+    as floats can use it: an interval whose ends are adjacent doubles holds
+    no lambda."""
+    lo, hi = _lambda_bounds(utility, distortion)
     return (lo, hi) if np.nextafter(lo, np.inf) < hi else None
 
 
@@ -214,8 +221,7 @@ class PreferenceSpec:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        lo = 1.0 / self.distortion.gamma_plus
-        hi = self.utility.alpha_minus / self.utility.alpha_plus
+        lo, hi = _lambda_bounds(self.utility, self.distortion)
         if self.lam is None:
             # found exactly when ``_lambda_interval`` is not None
             for lam in (0.5 * (lo + hi), float(np.nextafter(lo, np.inf))):
@@ -315,19 +321,18 @@ def tk_pathology_threshold(k: float, gamma_plus: float, gamma_minus: float) -> f
     return 0.5 * (lo + hi)
 
 
-_DISTORTION_FAMILIES = {"identity", "power", "tk"}
+# the distortion families a preference file may name, each built from its gamma
+_DISTORTION_FAMILIES: dict[str, Callable[[float], Distortion]] = {
+    "identity": lambda gamma: Distortion.identity(),
+    "power": Distortion.power,
+    "tk": Distortion.tk,
+}
 
 
 def _build_distortion(family: str, gamma: float | None, side: str) -> Distortion:
-    if family == "identity":
-        return Distortion.identity()
-    if gamma is None:
+    if gamma is None and family != "identity":
         raise ValidationError(f"family_w{side}={family} requires gamma_{side}")
-    if family == "power":
-        return Distortion.power(gamma)
-    if family == "tk":
-        return Distortion.tk(gamma)
-    raise ValidationError(f"unknown distortion family {family!r}")
+    return _DISTORTION_FAMILIES[family](gamma)
 
 
 # the keys parse_preferences reads; any other key is a misspelling
@@ -338,10 +343,7 @@ _PREF_KEYS = {"alpha_plus", "alpha_minus", "k", "k_minus", "lambda", "gamma_plus
 def parse_preferences(text: str, overrides: Mapping[str, str] | None = None) -> PreferenceSpec:
     """Parse key=value preference lines, applying CLI-style overrides last."""
     kv: dict[str, str] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in content_lines(text):
         if "=" not in ln:
             raise ValidationError(f"bad preference line {ln!r}")
         key, val = ln.split("=", 1)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tree import PROB_TOL
+from .tree import check_masses, float_vector
 
 _MANTISSA_BUDGET = 52
 
@@ -29,6 +29,8 @@ KS_CRITICAL_001 = 1.63
 # Chi-square critical value at significance 0.01 with (4 - 1)^2 = 9 degrees of
 # freedom, the double that scipy.stats.chi2.ppf(0.99, 9) returns.
 CHI2_CRITICAL_001_DF9 = 21.665994333461924
+# quantile bins per sample of the chi-square test, the 4 of its critical value
+_CHI2_BINS = 4
 
 
 def _digit(m, k: int):
@@ -115,24 +117,13 @@ class FiniteJoint:
     atoms: tuple[tuple[tuple[float, ...], tuple[float, ...], float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValidationError("joint law needs at least one atom")
-        total = 0.0
-        for _, _, p in self.atoms:
-            if not 0.0 < p <= 1.0:
-                raise ValidationError(f"atom probability {p} outside (0, 1]")
-            total += p
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"atom probabilities sum to {total!r}, not 1")
+        check_masses([p for _, _, p in self.atoms], "joint law", "probability", "probabilities")
 
     @classmethod
     def from_list(
         cls, atoms: Sequence[tuple[Sequence[float] | float, Sequence[float] | float, float]]
     ) -> "FiniteJoint":
-        def vec(v):
-            return (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
-
-        return cls(tuple((vec(y), vec(z), float(p)) for y, z, p in atoms))
+        return cls(tuple((float_vector(y), float_vector(z), float(p)) for y, z, p in atoms))
 
     @cached_property
     def y_marginal(self) -> dict[tuple[float, ...], float]:
@@ -156,10 +147,6 @@ class FiniteJoint:
         return sorted(cond.items())
 
 
-def _as_key(v: Sequence[float] | float) -> tuple[float, ...]:
-    return (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
-
-
 def transport(joint: FiniteJoint, y: Sequence[float] | float, e: float) -> tuple[float, ...]:
     """Conditional quantile of the kernel at y, driven by the uniform e.
 
@@ -168,7 +155,7 @@ def transport(joint: FiniteJoint, y: Sequence[float] | float, e: float) -> tuple
     """
     if not 0.0 <= e < 1.0:
         raise ValidationError("e must lie in [0, 1)")
-    cond = joint.conditional(_as_key(y))
+    cond = joint.conditional(float_vector(y))
     cum = 0.0
     for z, p in cond:
         cum += p
@@ -179,7 +166,7 @@ def transport(joint: FiniteJoint, y: Sequence[float] | float, e: float) -> tuple
 
 def transport_breakpoints(joint: FiniteJoint, y: Sequence[float] | float) -> tuple[float, ...]:
     """Cumulative boundaries of the conditional quantile intervals at y."""
-    cond = joint.conditional(_as_key(y))
+    cond = joint.conditional(float_vector(y))
     cum = [0.0]
     for _, p in cond:
         cum.append(cum[-1] + p)
@@ -261,31 +248,25 @@ def ks_uniform_statistic(samples: Sequence[float]) -> float:
     return float(max(np.max(i / n - u), np.max(u - (i - 1) / n)))
 
 
-def ks_uniform_pass(samples: Sequence[float], significance: float = 0.01) -> tuple[bool, float, float]:
+def ks_uniform_pass(samples: Sequence[float]) -> tuple[bool, float, float]:
     """One-sample KS test against Uniform[0,1] at significance 0.01."""
-    if significance != 0.01:
-        raise ValidationError("only the documented 0.01 significance is supported")
     d = ks_uniform_statistic(samples)
     crit = KS_CRITICAL_001 / np.sqrt(len(samples))
     return d < crit, d, float(crit)
 
 
-def chi2_independence_pass(
-    a: Sequence[float], b: Sequence[float], bins: int = 4, significance: float = 0.01
-) -> tuple[bool, float, float]:
+def chi2_independence_pass(a: Sequence[float], b: Sequence[float]) -> tuple[bool, float, float]:
     """Pearson chi-square independence test on a 4 x 4 quantile-binned
     contingency grid at significance 0.01."""
-    if bins != 4 or significance != 0.01:
-        raise ValidationError("only the documented 4 bins at significance 0.01 are supported")
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.size != y.size or x.size == 0:
         raise ValidationError("need two equal-length nonempty samples")
-    qx = np.quantile(x, np.linspace(0, 1, bins + 1)[1:-1])
-    qy = np.quantile(y, np.linspace(0, 1, bins + 1)[1:-1])
+    qx = np.quantile(x, np.linspace(0, 1, _CHI2_BINS + 1)[1:-1])
+    qy = np.quantile(y, np.linspace(0, 1, _CHI2_BINS + 1)[1:-1])
     ix = np.searchsorted(qx, x, side="right")
     iy = np.searchsorted(qy, y, side="right")
-    table = np.zeros((bins, bins))
+    table = np.zeros((_CHI2_BINS, _CHI2_BINS))
     np.add.at(table, (ix, iy), 1.0)
     n = x.size
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n

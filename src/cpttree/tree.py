@@ -17,12 +17,40 @@ import numpy as np
 from .errors import ValidationError
 
 PROB_TOL = 1e-12
+# how far floor + sub-hedge wealth may exceed the benchmark at a leaf
+_SUBHEDGE_TOL = 1e-12
 # floats one block of ``ScenarioTree.families`` may span
 _FAMILY_FLOATS = 1 << 16
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def float_vector(v: Sequence[float] | float) -> tuple[float, ...]:
+    """A scalar as a 1-vector, a sequence as a tuple, of floats."""
+    return (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
+
+
+def check_masses(masses: Sequence[float], law: str, mass: str, masses_name: str) -> None:
+    """Refuse a finite law unless it has an atom, every mass lies in (0, 1]
+    and the masses, added left to right, sum to 1 within ``PROB_TOL``. The
+    messages name the ``law``, one ``mass`` and the ``masses_name``."""
+    if not masses:
+        raise ValidationError(f"{law} needs at least one atom")
+    total = 0.0
+    for p in masses:
+        if not 0.0 < p <= 1.0:
+            raise ValidationError(f"atom {mass} {p} outside (0, 1]")
+        total += p
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(f"atom {masses_name} sum to {total!r}, not 1")
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of ``text`` that are neither blank nor ``#`` comments."""
+    stripped = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in stripped if ln and not ln.startswith("#")]
 
 
 def segment_sums(values: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -145,11 +173,6 @@ class ScenarioTree:
         kids.flags.writeable = False
         first.flags.writeable = False
         return kids, first
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids, first = (a.tolist() for a in self.child_layout)
-        return tuple(tuple(kids[a:b]) for a, b in zip(first, first[1:]))
 
     def families(self, floats_per_child: int = 1) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The non-terminal nodes' children, in blocks of equal family size.
@@ -299,22 +322,11 @@ class RandomizedStrategy:
     atoms: tuple[tuple[float, PureStrategy], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValidationError("randomized strategy needs at least one atom")
-        total = 0.0
-        for w, _ in self.atoms:
-            if not 0.0 < w <= 1.0:
-                raise ValidationError(f"atom weight {w} outside (0, 1]")
-            total += w
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"atom weights sum to {total!r}, not 1")
+        check_masses([w for w, _ in self.atoms], "randomized strategy", "weight", "weights")
 
     @classmethod
     def equal_weights(cls, strategies: Sequence[PureStrategy]) -> "RandomizedStrategy":
-        m = len(strategies)
-        if m == 0:
-            raise ValidationError("randomized strategy needs at least one atom")
-        return cls(tuple((1.0 / m, s) for s in strategies))
+        return cls(tuple((1.0 / len(strategies), s) for s in strategies))
 
 
 Strategy = PureStrategy | RandomizedStrategy
@@ -398,10 +410,11 @@ def terminal_wealth(tree: ScenarioTree, strategy: PureStrategy, x0: float) -> di
     return dict(zip(tree.leaf_ids.tolist(), wealth.tolist()))
 
 
-def validate_subhedge(tree: ScenarioTree, ref: ReferenceSpec, tol: float = 1e-12) -> tuple[bool, int | None]:
-    """Check floor + subhedge wealth <= benchmark leaf-by-leaf; returns a witness leaf."""
+def validate_subhedge(tree: ScenarioTree, ref: ReferenceSpec) -> tuple[bool, int | None]:
+    """Check floor + subhedge wealth <= benchmark + 1e-12 leaf-by-leaf; returns
+    a witness leaf."""
     wealth = leaf_wealth(tree, ref.subhedge.as_matrix(tree), ref.floor)
-    above = np.flatnonzero(wealth > ref.benchmark_array(tree) + tol)
+    above = np.flatnonzero(wealth > ref.benchmark_array(tree) + _SUBHEDGE_TOL)
     if above.size:
         return False, int(tree.leaf_ids[above[0]])
     return True, None
@@ -418,8 +431,7 @@ def emit_market(tree: ScenarioTree) -> str:
 
 def parse_market(text: str) -> ScenarioTree:
     """Parse the market text format; the root (node 0) is implicit."""
-    stripped = (ln.strip() for ln in text.splitlines())
-    lines = [ln for ln in stripped if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ValidationError("empty market file")
     header = lines[0].split()

@@ -25,6 +25,8 @@ from .tree import PureStrategy, ReferenceSpec, ScenarioTree
 VERDICT_ILL_POSED = "ill-posed"
 VERDICT_WELL_POSED_INSTANCE = "well-posed-instance"
 VERDICT_INCONCLUSIVE = "inconclusive"
+# the relative gain below which the boundedness probe's last three points plateau
+_PLATEAU_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,11 @@ class ScanRow(NamedTuple):
     v: float
 
 
-def _power_power_params(pref: PreferenceSpec) -> tuple[float, float, float, float, float]:
+def _power_power_params(pref: PreferenceSpec, ell: float) -> tuple[float, float, float, float, float]:
+    """(alpha_plus, alpha_minus, gamma_plus, gamma_minus, k_minus) of power
+    preferences, for the two-step position of tail exponent ``ell``."""
+    if not 0.0 < ell < math.inf:  # NaN fails too
+        raise ValidationError("ell must be positive and finite")
     if pref.utility.family_plus != "power" or pref.utility.family_minus != "power":
         raise ValidationError("two-step construction needs power utilities")
     if pref.distortion.plus.family not in ("power", "identity") or pref.distortion.minus.family not in (
@@ -89,9 +95,7 @@ def two_step_example(pref: PreferenceSpec, ell: float) -> IllposednessReport:
     tails reduce to power integrals with exponents ell*gamma/alpha on each
     side; the verdict splits on which exponents exceed 1.
     """
-    if not 0.0 < ell < math.inf:  # NaN fails too
-        raise ValidationError("ell must be positive and finite")
-    ap, am, gp, gm, km = _power_power_params(pref)
+    ap, am, gp, gm, km = _power_power_params(pref, ell)
     v_plus = tail_power_integral(2.0 ** (-gp), ell * gp / ap)
     v_minus_base = tail_power_integral(2.0 ** (-gm), ell * gm / am)
     v_minus: ExtReal = km * v_minus_base if is_finite(v_minus_base) else POS_INF
@@ -117,9 +121,7 @@ def truncation_scan(pref: PreferenceSpec, ell: float, n_list: Sequence[float]) -
     The capped law keeps the y^-ell survival up to n with an atom at n, so
     each side is the [0, 1] band plus an incomplete power integral.
     """
-    if not 0.0 < ell < math.inf:  # NaN fails too
-        raise ValidationError("ell must be positive and finite")
-    ap, am, gp, gm, km = _power_power_params(pref)
+    ap, am, gp, gm, km = _power_power_params(pref, ell)
     rows = []
     for n in n_list:
         n = float(n)
@@ -199,12 +201,11 @@ def boundedness_probe(
     box_radii: Sequence[float],
     cfg: SearchConfig | None = None,
     allow_condition_a_violation: bool = False,
-    plateau_rel_tol: float = 1e-6,
 ) -> ProbeResult:
     """Best value found under growing per-node boxes; an empirical probe.
 
     For gate-respecting preferences the sequence must plateau (relative
-    improvement below tolerance over the last three radius doublings). The
+    improvement below 1e-6 over the last three radius doublings). The
     probe refuses gate-violating preferences unless explicitly overridden
     for pathology demonstrations. Each radius is warm-started from the
     previous argmax, so the sequence is nondecreasing up to re-evaluation
@@ -240,5 +241,5 @@ def boundedness_probe(
             (vals[i] - vals[i - 1]) / max(1.0, abs(vals[i - 1]))
             for i in range(len(vals) - 3, len(vals))
         ]
-        plateau = all(r < plateau_rel_tol for r in rels)
-    return ProbeResult(points=tuple(points), plateau=plateau, plateau_rel_tol=plateau_rel_tol)
+        plateau = all(r < _PLATEAU_REL_TOL for r in rels)
+    return ProbeResult(points=tuple(points), plateau=plateau, plateau_rel_tol=_PLATEAU_REL_TOL)

@@ -106,6 +106,19 @@ class TestBoundary:
         assert code == 2
         assert "internal error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lone", [["--validate-kappa", "0.5"], ["--validate-pi", "0.25"]])
+    def test_marche_lone_validation_flag_exits_2_before_the_certificate(
+        self, tmp_path, coin_market_file, capsys, monkeypatch, lone
+    ):
+        def no_certificate(*args):
+            raise AssertionError("certificate computed for a refused call")
+
+        monkeypatch.setattr(cli, "marche_certificate", no_certificate)
+        code = main(["marche-check", "--market", str(coin_market_file), "--out", str(tmp_path / "o")] + lone)
+        assert code == 2
+        assert "--validate-kappa and --validate-pi go together" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_illposed_bad_scan_exits_2(self, tmp_path, capsys):
         code = main(TestIllposedDemo.ARGS + ["--scan", "10,abc", "--out", str(tmp_path)])
         assert code == 2

@@ -1,0 +1,109 @@
+"""Input rules that several entry points share, with their exact messages:
+finite-law masses, blank and comment lines, distortion exponents and the
+two-step position's tail exponent."""
+
+import math
+
+import pytest
+
+from cpttree.builders import build_iid_market, emit_pmf, parse_pmf
+from cpttree.choquet import DiscreteRV
+from cpttree.errors import ValidationError
+from cpttree.preferences import (
+    Distortion,
+    coin_model_preferences,
+    parse_preferences,
+    tk_distortion,
+    tversky_kahneman_preferences,
+)
+from cpttree.randtools import FiniteJoint
+from cpttree.tree import PureStrategy, RandomizedStrategy, emit_market, parse_market
+from cpttree.wellposed import truncation_scan, two_step_example
+
+NAN = float("nan")
+STAY = PureStrategy({0: (0.0,)})
+
+# law name, mass name, masses name, constructor from a mass list
+LAWS = [
+    ("discrete law", "probability", "probabilities",
+     lambda ms: DiscreteRV(tuple((float(i), p) for i, p in enumerate(ms)))),
+    ("randomized strategy", "weight", "weights",
+     lambda ms: RandomizedStrategy(tuple((p, STAY) for p in ms))),
+    ("joint law", "probability", "probabilities",
+     lambda ms: FiniteJoint(tuple(((float(i),), (0.0,), p) for i, p in enumerate(ms)))),
+]
+
+
+def refusal(make, *args) -> str:
+    with pytest.raises(ValidationError) as exc:
+        make(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("law, mass, masses, make", LAWS, ids=[law[0] for law in LAWS])
+class TestMasses:
+    def test_no_atoms(self, law, mass, masses, make):
+        assert refusal(make, []) == f"{law} needs at least one atom"
+
+    @pytest.mark.parametrize("bad", [NAN, 0.0, 1.5])
+    def test_mass_outside_unit_interval(self, law, mass, masses, make, bad):
+        assert refusal(make, [0.5, bad]) == f"atom {mass} {bad} outside (0, 1]"
+
+    def test_sum_off_by_2e_12(self, law, mass, masses, make):
+        ms = [0.5, 0.5 + 2e-12]
+        assert refusal(make, ms) == f"atom {masses} sum to {0.0 + ms[0] + ms[1]!r}, not 1"
+
+    def test_sum_off_by_5e_13_accepted(self, law, mass, masses, make):
+        make([0.5, 0.5 + 5e-13])
+
+
+def test_equal_weights_needs_a_strategy():
+    assert refusal(RandomizedStrategy.equal_weights, []) == (
+        "randomized strategy needs at least one atom"
+    )
+
+
+def test_discrete_law_checks_every_value_before_any_mass():
+    # a bad mass in the first atom, a non-finite value in the second
+    assert refusal(DiscreteRV, ((0.0, 1.5), (NAN, 0.5))) == "atom values must be finite"
+
+
+def with_noise_lines(text: str) -> str:
+    """``text`` with a blank line and indented comment lines after its first line."""
+    first, rest = text.split("\n", 1)
+    return f"{first}\n\n   \n  # a comment\n\t# another\n{rest}"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_market, emit_market(build_iid_market([(0.5, 1.0), (0.5, -1.0)], 2))),
+        (parse_pmf, emit_pmf([(0.25, (1.0, 2.0)), (0.75, (-1.0, 0.5))])),
+        (parse_preferences, "alpha_plus=0.25\nalpha_minus=1.0\nfamily_wplus=power\ngamma_plus=0.5\n"),
+    ],
+    ids=["market", "pmf", "preferences"],
+)
+def test_blank_and_comment_lines_are_skipped(parse, text):
+    assert parse(with_noise_lines(text)) == parse(text)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Distortion.power, Distortion.tk, lambda g: tk_distortion(g, 0.5)],
+    ids=["power", "tk", "tk_distortion"],
+)
+@pytest.mark.parametrize("gamma", [0.0, 1.5, NAN])
+def test_gamma_outside_unit_interval(make, gamma):
+    assert refusal(make, gamma) == "gamma must lie in (0, 1]"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda pref, ell: two_step_example(pref, ell), lambda pref, ell: truncation_scan(pref, ell, [10.0])],
+    ids=["two_step_example", "truncation_scan"],
+)
+@pytest.mark.parametrize("ell", [0.0, NAN, math.inf])
+def test_ell_positive_and_finite(make, ell):
+    assert refusal(make, coin_model_preferences(), ell) == "ell must be positive and finite"
+    # the exponent is checked before the preference families
+    assert refusal(make, tversky_kahneman_preferences(), ell) == "ell must be positive and finite"

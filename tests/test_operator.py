@@ -86,7 +86,8 @@ def test_wealth_and_value_match_the_reference_bitwise(case):
     strategy = random_pure(rng, tree)
     x0 = float(rng.uniform(-2.0, 2.0))
     wealth = reference_wealth(tree, strategy.as_matrix(tree), x0)
-    leaves = [i for i in range(tree.n_nodes) if not tree.children[i]]  # id order
+    first = tree.child_layout[1]
+    leaves = [i for i in range(tree.n_nodes) if first[i] == first[i + 1]]  # id order
     assert terminal_wealth(tree, strategy, x0) == {i: wealth[i] for i in leaves}
 
     bench = {i: float(rng.uniform(-1.0, 1.0)) for i in leaves}
@@ -104,7 +105,8 @@ def test_leaves_below_each_node_are_contiguous(case):
     seed, d = case
     tree = shuffled_tree(np.random.default_rng(seed), d)
     position = {int(leaf): r for r, leaf in enumerate(tree.leaf_ids)}
-    assert sorted(position) == [i for i in range(tree.n_nodes) if not tree.children[i]]
+    first = tree.child_layout[1]
+    assert sorted(position) == [i for i in range(tree.n_nodes) if first[i] == first[i + 1]]
     for node in tree.nonterminal_ids:
         rows = sorted(position[leaf] for leaf in leaves_below(tree, int(node)))
         assert rows == list(range(rows[0], rows[-1] + 1))

@@ -232,7 +232,8 @@ class TestTreeValidation:
             )
             if expected is None:
                 tree = ScenarioTree(**kwargs)
-                assert tree.children == ref[0]
+                kids, first = (a.tolist() for a in tree.child_layout)
+                assert tuple(tuple(kids[a:b]) for a, b in zip(first, first[1:])) == ref[0]
                 assert tree.nonterminal_ids.tolist() == ref[1]
                 assert tree.depth.tolist() == ref[2]
                 reach = [1.0]
@@ -276,8 +277,10 @@ class TestTreeValidation:
         assert [b[1].shape for b in blocks] == [(1, 3), (1, 3), (1, 3), (1, 3)]
         rows = np.concatenate([b[0] for b in blocks])
         assert sorted(rows.tolist()) == list(range(len(tree.nonterminal_ids)))
+        children, first = tree.child_layout
         for r, kids in blocks:
-            assert kids.tolist() == [list(tree.children[tree.nonterminal_ids[k]]) for k in r]
+            nodes = tree.nonterminal_ids[r]
+            assert kids.tolist() == [children[first[n] : first[n + 1]].tolist() for n in nodes]
 
     def test_leaf_probabilities_multiply_along_paths(self):
         tree = two_step_coin()
