@@ -20,7 +20,9 @@ from .choquet import CPTValue, OutcomeEngine, _choquet_rows, _cpt_rows, _Law, cp
 from .choquet import cpt_value_from_outcomes  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .errors import ValidationError
 from .preferences import Distortion, PreferenceSpec
-from .tree import PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree, finite_capital
+from .tree import (
+    PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree, check_masses, finite_capital,
+)
 
 
 @dataclass(frozen=True)
@@ -173,11 +175,11 @@ def _lockstep(
     shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     z0s: Sequence[np.ndarray],
     states: np.ndarray,
-    lo: float,
-    hi: float,
+    boxes: Sequence[tuple[float, float]],
     tol: float,
 ) -> list[tuple[np.ndarray, float]]:
-    """``(z, best)`` of the poll from each start z0s[k] with state states[k].
+    """``(z, best)`` of the poll from each start z0s[k] with state states[k]
+    in its box [lo, hi]^m, ``(lo, hi) = boxes[k]``.
 
     The polls run in lockstep: one call values the start states, and in each
     round the block requests of all live polls are stacked, shifted with one
@@ -198,7 +200,7 @@ def _lockstep(
 
     polls = [
         _poll(z0, state, float(v), lo, hi, tol, row_cap, span)
-        for z0, state, v in zip(z0s, states, values_of(states))
+        for z0, state, v, (lo, hi) in zip(z0s, states, values_of(states), boxes)
     ]
     results: list = [None] * len(polls)
     requests: dict = {}
@@ -232,6 +234,40 @@ def _lockstep(
     return results
 
 
+def _polled(
+    values_of: Callable[[np.ndarray], np.ndarray],
+    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    state_of: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[np.ndarray],
+    boxes: Sequence[tuple[float, float]],
+    tol: float,
+) -> list[tuple[np.ndarray, float]]:
+    """``(z, best)`` of the compass search from every start, each in its own
+    ``(lo, hi)`` box, in start order.
+
+    The start states are stacked up front, and the starts are polled in
+    lockstep groups of one fixed size: consecutive starts, as many as fit
+    ``_BLOCK_FLOATS`` with their smallest blocks stacked. So a block exceeds
+    the cache-sized ``_BLOCK_FLOATS`` only where one start's smallest block
+    does. A poll's trajectory does not depend on the polls it shares its
+    blocks with, so neither does its result.
+    """
+    states = np.stack([state_of(z0) for z0 in starts])
+    size = states.shape[1]
+    fit = max(1, _BLOCK_FLOATS // (2 * _span(size) * size))
+    results: list[tuple[np.ndarray, float]] = []
+    for a in range(0, len(starts), fit):
+        results += _lockstep(
+            values_of, shift, starts[a : a + fit], states[a : a + fit], boxes[a : a + fit], tol
+        )
+    return results
+
+
+def _first_best(results: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
+    """The first ``(z, best)`` of highest value, in start order."""
+    return max(results, key=operator.itemgetter(1))
+
+
 def _multistart(
     values_of: Callable[[np.ndarray], np.ndarray],
     shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -241,24 +277,10 @@ def _multistart(
     hi: float,
     tol: float,
 ) -> tuple[np.ndarray, float]:
-    """Compass search from every start; the first best result in start order wins.
-
-    The start states are stacked up front, and the starts are polled in
-    lockstep groups of one fixed size: consecutive starts, as many as fit
-    ``_BLOCK_FLOATS`` with their smallest blocks stacked. So a block exceeds
-    the cache-sized ``_BLOCK_FLOATS`` only where one start's smallest block
-    does.
-    """
-    states = np.stack([state_of(z0) for z0 in starts])
-    size = states.shape[1]
-    fit = max(1, _BLOCK_FLOATS // (2 * _span(size) * size))
-    best_z, best_v = None, -np.inf
-    for a in range(0, len(starts), fit):
-        group = _lockstep(values_of, shift, starts[a : a + fit], states[a : a + fit], lo, hi, tol)
-        for z, v in group:
-            if v > best_v:
-                best_z, best_v = z, v
-    return best_z, best_v
+    """Compass search from every start in [lo, hi]^m; the first best result
+    in start order wins."""
+    boxes = [(lo, hi)] * len(starts)
+    return _first_best(_polled(values_of, shift, state_of, starts, boxes, tol))
 
 
 def _check_box(radius: float, centre: np.ndarray, reach: np.ndarray) -> None:
@@ -277,6 +299,39 @@ def _check_box(radius: float, centre: np.ndarray, reach: np.ndarray) -> None:
         )
 
 
+class _OffsetSearch:
+    """Compass searches over ``n_atoms`` equal-weight pure strategies, as
+    offsets z from the sub-hedge phi stacked once per atom: one outcome
+    engine, kernel law and box-check reach, set up once for every poll."""
+
+    def __init__(
+        self, tree: ScenarioTree, pref: PreferenceSpec, x0: float, ref: ReferenceSpec,
+        n_atoms: int, tol: float,
+    ):
+        engine = OutcomeEngine(tree, ref)
+        self.phi = ref.subhedge.as_flat(tree)
+        self.stacked_phi = stacked_phi = np.tile(self.phi, n_atoms)
+        law = _Law(np.tile(engine.leaf_prob, n_atoms) / n_atoms)
+        self._centre = engine.outcomes(self.phi, x0)
+        self._reach = np.abs(engine.matrix).sum(axis=(0, 1))
+        self._values_of = lambda block: _cpt_rows(block, law, pref)
+        self._shift = engine.shift
+        self._state_of = lambda z: engine.outcomes(stacked_phi + z, x0)
+        self._tol = tol
+
+    def check(self, radius: float) -> None:
+        """Refuse a box of ``radius`` that can leave the double range."""
+        _check_box(radius, self._centre, self._reach)
+
+    def polls(
+        self, z0s: Sequence[np.ndarray], radii: Sequence[float]
+    ) -> list[tuple[np.ndarray, float]]:
+        """``(z, best)`` of the search from each start z0s[k] in the box
+        ||z||_inf <= radii[k]."""
+        boxes = [(-r, r) for r in radii]
+        return _polled(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
+
+
 def _search_tree(
     tree: ScenarioTree,
     pref: PreferenceSpec,
@@ -293,29 +348,38 @@ def _search_tree(
     from the sub-hedge, and the radius of the box it ended in.
     ``starts(phi, radius, rng)`` gives the start offsets; the box doubles up
     to ``max_doublings`` times while the winner touches it."""
-    engine = OutcomeEngine(tree, ref)
-    phi = ref.subhedge.as_flat(tree)
-    stacked_phi = np.tile(phi, n_atoms)
-    law = _Law(np.tile(engine.leaf_prob, n_atoms) / n_atoms)
+    search = _OffsetSearch(tree, pref, x0, ref, n_atoms, cfg.tol)
 
-    def search(z0s: Sequence[np.ndarray]) -> np.ndarray:
-        return _multistart(
-            lambda block: _cpt_rows(block, law, pref), engine.shift,
-            lambda z: engine.outcomes(stacked_phi + z, x0), z0s, -radius, radius, cfg.tol,
-        )[0]
+    def best(z0s: Sequence[np.ndarray]) -> np.ndarray:
+        return _first_best(search.polls(z0s, [radius] * len(z0s)))[0]
 
-    centre = engine.outcomes(phi, x0)
-    reach = np.abs(engine.matrix).sum(axis=(0, 1))
-    _check_box(radius, centre, reach)
-    best_z = search(starts(phi, radius, np.random.default_rng(cfg.seed)))
+    search.check(radius)
+    best_z = best(starts(search.phi, radius, np.random.default_rng(cfg.seed)))
     for _ in range(max_doublings):
         if np.max(np.abs(best_z)) < radius * (1 - 1e-9):
             break
         radius *= 2.0
-        _check_box(radius, centre, reach)
-        best_z = search([best_z])
-    atoms = (stacked_phi + best_z).reshape(n_atoms, -1)
+        search.check(radius)
+        best_z = best([best_z])
+    atoms = (search.stacked_phi + best_z).reshape(n_atoms, -1)
     return [PureStrategy.from_flat(tree, theta) for theta in atoms], radius
+
+
+def _pure_starts(
+    phi: np.ndarray,
+    extra: Sequence[np.ndarray],
+    radius: float,
+    rng: np.random.Generator | None,
+    n_random: int,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Start offsets of the pure search in the box of ``radius``: the zero,
+    -phi and ``extra`` offsets clipped to the box, each duplicate after its
+    first dropped, and ``n_random`` uniform ones drawn from ``rng``."""
+    fixed: list[np.ndarray] = []
+    for z0 in (np.clip(z, -radius, radius) for z in [np.zeros(phi.size), -phi, *extra]):
+        if not any(np.array_equal(z0, s) for s in fixed):
+            fixed.append(z0)
+    return fixed, [rng.uniform(-radius, radius, phi.size) for _ in range(n_random)]
 
 
 def _pure_search(
@@ -333,18 +397,65 @@ def _pure_search(
                       "objective may be effectively unbounded", stacklevel=3)
 
     def starts(phi, radius, rng):
-        fixed = [np.zeros(phi.size), -phi] + [s.as_flat(tree) - phi for s in extra_starts]
-        unique: list[np.ndarray] = []
-        for z0 in (np.clip(z, -radius, radius) for z in fixed):
-            if not any(np.array_equal(z0, s) for s in unique):
-                unique.append(z0)
-        return unique + [rng.uniform(-radius, radius, phi.size) for _ in range(cfg.multistart)]
+        extra = [s.as_flat(tree) - phi for s in extra_starts]
+        fixed, randoms = _pure_starts(phi, extra, radius, rng, cfg.multistart)
+        return fixed + randoms
 
     radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
     (strategy,), radius = _search_tree(
         tree, pref, x0, ref, cfg, starts, 1, radius, cfg.max_box_doublings
     )
     return strategy, radius
+
+
+def _probe_search(
+    tree: ScenarioTree,
+    pref: PreferenceSpec,
+    x0: float,
+    ref: ReferenceSpec,
+    radii: Sequence[float],
+    cfg: SearchConfig,
+) -> list[PureStrategy]:
+    """The pure strategy found at each of the increasing, nonnegative box
+    ``radii``: the sub-hedge at radius 0, and elsewhere what ``optimize_pure``
+    finds with that ``box_radius``, no box doubling and the strategy of the
+    radius before as its extra start (the warm start).
+
+    The starts that depend on no other radius, the zero, -phi and random
+    offsets of every radius, are polled together, each in its own box, in
+    ``_polled``'s cache-sized groups. Then the warm starts run as a chain of
+    lone polls, each from the strategy of the radius before, rebuilt as
+    ``subhedge + (theta - subhedge)``; a warm start that duplicates a fixed
+    one is dropped, as in ``optimize_pure``. The first best in that search's
+    start order wins: zero, -phi, warm, then the random starts. A poll's
+    trajectory does not depend on the polls it shares its blocks with, so
+    every strategy is bitwise the one of the radius-by-radius search.
+    """
+    x0 = finite_capital(x0)
+    search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
+    phi = search.phi
+    boxed = [r for r in radii if r != 0.0]
+    for r in boxed:
+        search.check(r)
+    starts = [
+        _pure_starts(phi, (), r, np.random.default_rng(cfg.seed), cfg.multistart) for r in boxed
+    ]
+    z0s = [z0 for fixed, randoms in starts for z0 in fixed + randoms]
+    rs = [r for r, (fixed, randoms) in zip(boxed, starts) for _ in fixed + randoms]
+    polled = iter(search.polls(z0s, rs) if z0s else ())
+    found: list[PureStrategy] = []
+    if len(boxed) < len(radii):
+        # the box of radius 0 is the single point theta = subhedge
+        found.append(ref.subhedge)
+    for r, (fixed, randoms) in zip(boxed, starts):
+        results = [next(polled) for _ in fixed + randoms]
+        if found:
+            warm, _ = _pure_starts(phi, [found[-1].as_flat(tree) - phi], r, None, 0)
+            if len(warm) > len(fixed):
+                results[len(fixed) : len(fixed)] = search.polls(warm[-1:], [r])
+        z, _ = _first_best(results)
+        found.append(PureStrategy.from_flat(tree, phi + z))
+    return found
 
 
 def optimize_pure(
@@ -417,8 +528,7 @@ def _position_law(
     w = np.asarray(weights, dtype=float)
     if w.shape != vals.shape:
         raise ValidationError("weights must match theta_values")
-    if not np.all(w > 0) or abs(float(w.sum()) - 1.0) > 1e-12:  # NaN fails w > 0
-        raise ValidationError("weights must be positive and sum to 1")
+    check_masses(w.tolist(), "mixed position", "weight", "weights")
     return vals, w
 
 

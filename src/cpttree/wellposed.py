@@ -10,7 +10,6 @@ bound, so boundedness cannot be restored by capping strategies.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -18,7 +17,8 @@ from .builders import build_market_from_level_pmfs, coin_pmf, uniform_quantile_p
 from .choquet import cpt_value, tail_power_integral
 from .errors import ValidationError
 from .extreal import POS_INF, ExtReal, ext_json, ext_sub, is_finite, is_inf
-from .optimize import SearchConfig, optimize_pure
+from .optimize import SearchConfig, _probe_search
+from .optimize import optimize_pure  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .preferences import PreferenceSpec, check_conditions
 from .tree import PureStrategy, ReferenceSpec, ScenarioTree
 
@@ -67,11 +67,16 @@ class ScanRow(NamedTuple):
     v: float
 
 
+def _check_ell(ell: float) -> None:
+    """Refuse a two-step tail exponent ``ell`` unless it is positive and finite."""
+    if not 0.0 < ell < math.inf:  # NaN fails too
+        raise ValidationError("ell must be positive and finite")
+
+
 def _power_power_params(pref: PreferenceSpec, ell: float) -> tuple[float, float, float, float, float]:
     """(alpha_plus, alpha_minus, gamma_plus, gamma_minus, k_minus) of power
     preferences, for the two-step position of tail exponent ``ell``."""
-    if not 0.0 < ell < math.inf:  # NaN fails too
-        raise ValidationError("ell must be positive and finite")
+    _check_ell(ell)
     if pref.utility.family_plus != "power" or pref.utility.family_minus != "power":
         raise ValidationError("two-step construction needs power utilities")
     if pref.distortion.plus.family not in ("power", "identity") or pref.distortion.minus.family not in (
@@ -161,8 +166,9 @@ def two_step_uniform_market(n_atoms: int) -> ScenarioTree:
 
 def heavy_tail_strategy(tree: ScenarioTree, ell: float, cap: float) -> PureStrategy:
     """theta_1 = 0 and theta_2 = min((2/(1-x))^(1/ell), cap) with x the first increment."""
-    if not (0.0 < ell < math.inf and cap > 0.0):  # NaN fails too
-        raise ValidationError("need finite ell > 0 and cap > 0")
+    _check_ell(ell)
+    if not cap > 0.0:  # NaN fails too
+        raise ValidationError("need cap > 0")
     if tree.horizon != 2 or tree.asset_dim != 1:
         raise ValidationError("heavy-tail strategy is defined on two-period single-asset trees")
     alloc: dict[int, tuple[float, ...]] = {0: (0.0,)}
@@ -207,11 +213,15 @@ def boundedness_probe(
     For gate-respecting preferences the sequence must plateau (relative
     improvement below 1e-6 over the last three radius doublings). The
     probe refuses gate-violating preferences unless explicitly overridden
-    for pathology demonstrations. Each radius is warm-started from the
-    previous argmax, so the sequence is nondecreasing up to re-evaluation
-    rounding: each point re-evaluates a strategy rebuilt as
+    for pathology demonstrations. Each radius runs the search of
+    ``optimize_pure`` with that box radius and no box doubling, warm-started
+    from the previous argmax, so the sequence is nondecreasing up to
+    re-evaluation rounding: each point re-evaluates a strategy rebuilt as
     ``subhedge + (theta - subhedge)``, which can sit an ulp below the
-    previous point.
+    previous point. The searches share one set-up: the independent starts
+    of every radius, zero, -phi and the random ones, are polled together,
+    then the warm starts run as a chain, radius by radius. The points are
+    those of one ``optimize_pure`` call per radius, bitwise.
     """
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")
@@ -219,21 +229,8 @@ def boundedness_probe(
     increasing = all(a < b for a, b in zip(radii, radii[1:]))  # NaN fails too
     if not (radii and increasing and all(0.0 <= r < math.inf for r in radii)):
         raise ValidationError("box_radii must be increasing, finite and nonnegative")
-    cfg = cfg or SearchConfig()
-    points: list[tuple[float, float]] = []
-    prev: list[PureStrategy] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in radii:
-            if r == 0.0:
-                # the box degenerates to the single point theta = subhedge
-                val = cpt_value(tree, ref.subhedge, x0, ref, pref)
-                strat = ref.subhedge
-            else:
-                cfg_r = replace(cfg, box_radius=r, max_box_doublings=0)
-                strat, val = optimize_pure(tree, pref, x0, ref, cfg_r, extra_starts=prev)
-            points.append((r, float(val.v)))
-            prev = [strat]
+    strategies = _probe_search(tree, pref, x0, ref, radii, cfg or SearchConfig())
+    points = [(r, float(cpt_value(tree, s, x0, ref, pref).v)) for r, s in zip(radii, strategies)]
     vals = [v for _, v in points]
     plateau = False
     if len(vals) >= 4:

@@ -9,6 +9,8 @@ start in turn returns, the first best in start order winning.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpttree import (
     Distortion,
@@ -258,6 +260,18 @@ def test_duplicate_starts_and_ties_go_to_the_first_start():
         assert np.array_equal(np.sign(got[0]), np.sign(z0s[0]))
 
 
+def test_ties_between_different_points_go_to_the_first_start():
+    # the first and the last start end at mirrored points with equal values
+    def f(z):
+        return float(-np.sum((np.abs(z) - 0.5) ** 2))
+
+    a = np.array([0.3, -0.7])
+    for z0s in ([a, -a], [-a, a]):
+        got, _ = lockstep(f, z0s)
+        assert_same(reference_multistart(f, z0s), got)
+        assert np.array_equal(np.sign(got[0]), np.sign(z0s[0]))
+
+
 def test_starts_whose_first_step_is_below_tol():
     f = kinked_objective(np.random.default_rng(7), 3)
     z0s = [np.array([0.1, -0.2, 0.3]), np.array([-0.1, 0.0, 0.05]), np.zeros(3)]
@@ -289,6 +303,27 @@ def test_a_start_that_meets_a_nan_raises_among_live_starts():
         reference_multistart(f, z0s)
     with pytest.raises(RuntimeError, match="non-finite"):
         lockstep(f, z0s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.floats(-2.0, 1.0), st.floats(1e-10, 3.0)), min_size=1, max_size=5),
+)
+def test_lockstep_polls_each_start_in_its_own_box(seed, m, corners):
+    # boxes of any widths, the first step of some below tol, polled in one lockstep
+    rng = np.random.default_rng(seed)
+    f = kinked_objective(rng, m)
+    boxes = [(lo, lo + width) for lo, width in corners]
+    z0s = [np.clip(rng.uniform(lo, hi, m), lo, hi) for lo, hi in boxes]
+
+    def values_of(block):
+        return np.array([f(row) for row in block])
+
+    got = optimize._lockstep(values_of, row_shift, z0s, np.stack(z0s), boxes, 1e-9)
+    for z0, (lo, hi), result in zip(z0s, boxes, got):
+        assert_same(reference(f, z0, lo, hi), result)
 
 
 def coin_search(monkeypatch, horizon, multistart, budget, pref=None, seed=3, **box):

@@ -1,5 +1,5 @@
 """Input rules that several entry points share, with their exact messages:
-finite-law masses, blank and comment lines, distortion exponents and the
+finite-law masses (the coin model's position weights among them), blank and comment lines, distortion exponents and the
 two-step position's tail exponent."""
 
 import math
@@ -9,6 +9,7 @@ import pytest
 from cpttree.builders import build_iid_market, emit_pmf, parse_pmf
 from cpttree.choquet import DiscreteRV
 from cpttree.errors import ValidationError
+from cpttree.optimize import coin_cpt_value
 from cpttree.preferences import (
     Distortion,
     coin_model_preferences,
@@ -18,7 +19,12 @@ from cpttree.preferences import (
 )
 from cpttree.randtools import FiniteJoint
 from cpttree.tree import PureStrategy, RandomizedStrategy, emit_market, parse_market
-from cpttree.wellposed import truncation_scan, two_step_example
+from cpttree.wellposed import (
+    heavy_tail_strategy,
+    truncation_scan,
+    two_step_example,
+    two_step_uniform_market,
+)
 
 NAN = float("nan")
 STAY = PureStrategy({0: (0.0,)})
@@ -55,6 +61,16 @@ class TestMasses:
 
     def test_sum_off_by_5e_13_accepted(self, law, mass, masses, make):
         make([0.5, 0.5 + 5e-13])
+
+
+@pytest.mark.parametrize("bad", [NAN, 0.0, 1.5])
+def test_position_weights_follow_the_same_rule(bad):
+    # the mixed position of the coin model refuses its weights as every finite law does
+    thetas = [1.0, 2.0]
+    assert refusal(coin_cpt_value, thetas, [0.5, bad]) == f"atom weight {bad} outside (0, 1]"
+    ms = [0.5, 0.5 + 2e-12]
+    assert refusal(coin_cpt_value, thetas, ms) == f"atom weights sum to {0.0 + ms[0] + ms[1]!r}, not 1"
+    coin_cpt_value(thetas, [0.5, 0.5 + 5e-13])
 
 
 def test_equal_weights_needs_a_strategy():
@@ -99,8 +115,12 @@ def test_gamma_outside_unit_interval(make, gamma):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda pref, ell: two_step_example(pref, ell), lambda pref, ell: truncation_scan(pref, ell, [10.0])],
-    ids=["two_step_example", "truncation_scan"],
+    [
+        lambda pref, ell: two_step_example(pref, ell),
+        lambda pref, ell: truncation_scan(pref, ell, [10.0]),
+        lambda pref, ell: heavy_tail_strategy(two_step_uniform_market(3), ell, 1.0),
+    ],
+    ids=["two_step_example", "truncation_scan", "heavy_tail_strategy"],
 )
 @pytest.mark.parametrize("ell", [0.0, NAN, math.inf])
 def test_ell_positive_and_finite(make, ell):

@@ -123,10 +123,10 @@ class TestCoinModelValue:
     @pytest.mark.parametrize(
         "thetas, weights, match",
         [
-            ([1.0], [np.nan], "positive"),
+            ([1.0], [np.nan], "outside"),
             ([np.nan], None, "finite"),
             ([np.inf, 0.5], None, "finite"),
-            ([0.5, 0.5], [0.5, np.nan], "positive"),
+            ([0.5, 0.5], [0.5, np.nan], "outside"),
             (0.5, None, "flat"),
             ([[0.5, 0.5]], None, "flat"),
             ([], None, "at least one"),
@@ -365,7 +365,7 @@ class TestPerturbation:
 
     @pytest.mark.parametrize(
         "weights, match",
-        [([0.5], "match"), ([np.nan, 1.0], "positive"), ([0.7, 0.7], "sum to 1")],
+        [([0.5], "match"), ([np.nan, 1.0], "outside"), ([0.7, 0.7], "sum to 1")],
     )
     def test_rejects_bad_weights(self, weights, match):
         with pytest.raises(ValidationError, match=match):

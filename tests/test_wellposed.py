@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cpttree import (
     SearchConfig,
     ValidationError,
     boundedness_probe,
+    build_iid_market,
     check_NA,
     coin_model_preferences,
     cpt_value,
@@ -21,6 +24,8 @@ from cpttree import (
     two_step_uniform_market,
     tversky_kahneman_preferences,
 )
+from cpttree import optimize
+from cpttree.optimize import optimize_pure
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
 
 
@@ -259,3 +264,120 @@ class TestBoundednessProbe:
             boundedness_probe(
                 coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), radii
             )
+
+
+# --- the probe's schedule against one search per radius ----------------------
+
+
+def radius_by_radius(tree, pref, x0, ref, radii, cfg):
+    """The probe as one ``optimize_pure`` per radius, warm-started from the
+    strategy of the radius before: its strategies and points."""
+    strategies, points, prev = [], [], []
+    for r in radii:
+        if r == 0.0:
+            strategy, value = ref.subhedge, cpt_value(tree, ref.subhedge, x0, ref, pref)
+        else:
+            cfg_r = replace(cfg, box_radius=r, max_box_doublings=0)
+            strategy, value = optimize_pure(tree, pref, x0, ref, cfg_r, extra_starts=prev)
+        strategies.append(strategy)
+        points.append((r, float(value.v)))
+        prev = [strategy]
+    return strategies, tuple(points)
+
+
+def assert_probe_as_radius_by_radius(tree, pref, x0, ref, radii, cfg):
+    strategies, points = radius_by_radius(tree, pref, x0, ref, radii, cfg)
+    found = optimize._probe_search(tree, pref, x0, ref, radii, cfg)
+    # bitwise, the sign of zero included
+    assert [s.as_flat(tree).tobytes() for s in found] == [
+        s.as_flat(tree).tobytes() for s in strategies
+    ]
+    res = boundedness_probe(tree, pref, x0, ref, radii, cfg)
+    assert np.array(res.points).tobytes() == np.array(points).tobytes()
+
+
+def trinomial_probe_instance():
+    """A one-step trinomial market straddling zero, strongly loss-averse
+    gate-respecting preferences and a sub-hedged reference."""
+    tree = build_iid_market([(0.3, 1.2), (0.45, -0.8), (0.25, 0.3)], 1)
+    pref = power_pref(0.3, 0.95, 0.8, 0.7, k=2.5)
+    phi = PureStrategy({0: (0.2,)})
+    floor = -0.5
+    bench = {leaf: floor + 0.2 * tree.increments[leaf][0] + 0.1 for leaf in tree.leaf_ids.tolist()}
+    return tree, pref, 0.3, ReferenceSpec(benchmark=bench, subhedge=phi, floor=floor)
+
+
+class TestProbeSchedule:
+    """``boundedness_probe`` polls the independent starts of every radius
+    together and then runs the warm-start chain; every point and strategy
+    is bitwise that of one ``optimize_pure`` per radius."""
+
+    @pytest.mark.parametrize("multistart", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trees_with_radius_zero_first(self, seed, multistart):
+        rng = np.random.default_rng(2000 + seed)
+        tree = random_tree(rng, asset_dim=1 + seed % 2)
+        pref = tame_valid_pref(rng)
+        ref = random_ref(rng, tree)
+        x0 = float(rng.uniform(-1.0, 1.0))
+        cfg = SearchConfig(seed=seed, multistart=multistart)
+        assert_probe_as_radius_by_radius(tree, pref, x0, ref, [0.0, 0.25, 1.0, 4.0, 16.0], cfg)
+
+    @pytest.mark.parametrize("radii", [[0.0, 0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 4.0]])
+    @pytest.mark.parametrize("multistart", [1, 3])
+    def test_zero_subhedge_duplicates_fixed_starts(self, coin_tree, radii, multistart):
+        # phi = 0: -phi is the zero start, and so is the warm start from radius 0
+        tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], 2)
+        for t in (coin_tree, tree):
+            ref = ReferenceSpec.zero(t)
+            cfg = SearchConfig(seed=4, multistart=multistart)
+            assert_probe_as_radius_by_radius(t, coin_model_preferences(), 0.0, ref, radii, cfg)
+
+    def test_only_radius_zero(self, coin_tree):
+        cfg = SearchConfig(seed=0, multistart=1)
+        ref = ReferenceSpec.zero(coin_tree)
+        assert_probe_as_radius_by_radius(coin_tree, coin_model_preferences(), 0.0, ref, [0.0], cfg)
+
+    def test_blocks_stay_within_the_block_cap(self, monkeypatch):
+        # 512 leaves: a start's smallest block is two rows of 512 floats, so
+        # eight starts fill the cap, whichever radius each belongs to
+        blocks, groups = [], []
+        rows, run = optimize._cpt_rows, optimize._lockstep
+
+        def recorded_rows(block, *args):
+            blocks.append(block.size)
+            return rows(block, *args)
+
+        def recorded_run(values_of, shift, z0s, *args):
+            groups.append(len(z0s))
+            return run(values_of, shift, z0s, *args)
+
+        monkeypatch.setattr(optimize, "_EVAL_BUDGET", 100)
+        monkeypatch.setattr(optimize, "_cpt_rows", recorded_rows)
+        monkeypatch.setattr(optimize, "_lockstep", recorded_run)
+        tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], 9)
+        ref = ReferenceSpec.zero(tree)
+        cfg = SearchConfig(seed=1, multistart=4)
+        boundedness_probe(tree, coin_model_preferences(), 0.0, ref, [0.5, 1.0, 2.0], cfg)
+        # the zero start and four random ones at each radius, then the two warm starts
+        assert groups == [8, 7, 1, 1]
+        assert max(blocks) <= optimize._BLOCK_FLOATS
+        assert max(blocks) >= 8 * 2 * 512  # every start of a group polled a coordinate in one call
+
+    def test_fewer_kernel_calls_than_radius_by_radius(self, monkeypatch):
+        calls = []
+        rows = optimize._cpt_rows
+
+        def counted(*args):
+            calls[-1] += 1
+            return rows(*args)
+
+        monkeypatch.setattr(optimize, "_cpt_rows", counted)
+        tree, pref, x0, ref = trinomial_probe_instance()
+        radii = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        cfg = SearchConfig(seed=7, multistart=1)
+        for probe in (radius_by_radius, optimize._probe_search):
+            calls.append(0)
+            probe(tree, pref, x0, ref, radii, cfg)
+        separate, together = calls
+        assert together < separate
