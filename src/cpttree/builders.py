@@ -111,8 +111,9 @@ class DiffusionSpec:
     def __post_init__(self) -> None:
         if self.state_dim < 1 or self.noise_dim < 1:
             raise ValidationError("state_dim and noise_dim must be >= 1")
-        if self.ellipticity_floor <= 0:
-            raise ValidationError("ellipticity floor must be > 0")
+        # a NaN floor flags no direction and an infinite one every direction
+        if not 0.0 < self.ellipticity_floor < np.inf:
+            raise ValidationError("ellipticity floor must be positive and finite")
         if len(self.initial_state) != self.state_dim:
             raise ValidationError("initial state dimension != state_dim")
         object.__setattr__(self, "noise_pmf", normalize_pmf(self.noise_pmf))
@@ -179,8 +180,7 @@ def build_discretized_diffusion(
                 states.append(tuple(float(v) for v in y_next))
                 nxt.append(len(parent) - 1)
         frontier = nxt
-    seen = states[: len(parent)]
-    bad = ellipticity_violations(spec, [np.array(s) for s in seen[:200]])
+    bad = ellipticity_violations(spec, [np.array(s) for s in states[:200]])
     warnings = ()
     if bad:
         x, v = bad[0]

@@ -339,8 +339,8 @@ class AuxParams:
     floor: float
 
     def __post_init__(self) -> None:
-        if self.k_plus_tilde <= 0 or self.k_minus_tilde <= 0:
-            raise ValidationError("aux constants must be positive")
+        if not (0.0 < self.k_plus_tilde < np.inf and 0.0 < self.k_minus_tilde < np.inf):
+            raise ValidationError("aux constants must be positive and finite")
 
 
 def derive_aux_params(pref: PreferenceSpec, ref: ReferenceSpec) -> AuxParams:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from itertools import chain
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -268,21 +269,6 @@ def _first_best(results: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray
     return max(results, key=operator.itemgetter(1))
 
 
-def _multistart(
-    values_of: Callable[[np.ndarray], np.ndarray],
-    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    state_of: Callable[[np.ndarray], np.ndarray],
-    starts: Sequence[np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    """Compass search from every start in [lo, hi]^m; the first best result
-    in start order wins."""
-    boxes = [(lo, hi)] * len(starts)
-    return _first_best(_polled(values_of, shift, state_of, starts, boxes, tol))
-
-
 def _check_box(radius: float, centre: np.ndarray, reach: np.ndarray) -> None:
     """Refuse a box whose width or whose leaf outcomes can leave the double
     range. ``centre`` holds the leaf outcomes at the box centre and ``reach``
@@ -300,9 +286,10 @@ def _check_box(radius: float, centre: np.ndarray, reach: np.ndarray) -> None:
 
 
 class _OffsetSearch:
-    """Compass searches over ``n_atoms`` equal-weight pure strategies, as
-    offsets z from the sub-hedge phi stacked once per atom: one outcome
-    engine, kernel law and box-check reach, set up once for every poll."""
+    """The tree search: compass searches over ``n_atoms`` equal-weight pure
+    strategies, as offsets z from the sub-hedge phi stacked once per atom.
+    One outcome engine, kernel law and box-check reach serve every poll of
+    the pure, mixture and probe searches."""
 
     def __init__(
         self, tree: ScenarioTree, pref: PreferenceSpec, x0: float, ref: ReferenceSpec,
@@ -310,76 +297,59 @@ class _OffsetSearch:
     ):
         engine = OutcomeEngine(tree, ref)
         self.phi = ref.subhedge.as_flat(tree)
-        self.stacked_phi = stacked_phi = np.tile(self.phi, n_atoms)
+        self._tree = tree
+        self._stacked_phi = stacked_phi = np.tile(self.phi, n_atoms)
         law = _Law(np.tile(engine.leaf_prob, n_atoms) / n_atoms)
         self._centre = engine.outcomes(self.phi, x0)
         self._reach = np.abs(engine.matrix).sum(axis=(0, 1))
+        self._checked: set[float] = set()
         self._values_of = lambda block: _cpt_rows(block, law, pref)
         self._shift = engine.shift
         self._state_of = lambda z: engine.outcomes(stacked_phi + z, x0)
         self._tol = tol
 
-    def check(self, radius: float) -> None:
-        """Refuse a box of ``radius`` that can leave the double range."""
-        _check_box(radius, self._centre, self._reach)
-
     def polls(
-        self, z0s: Sequence[np.ndarray], radii: Sequence[float]
+        self, z0s: Iterable[np.ndarray], radii: Sequence[float]
     ) -> list[tuple[np.ndarray, float]]:
         """``(z, best)`` of the search from each start z0s[k] in the box
-        ||z||_inf <= radii[k]."""
+        ||z||_inf <= radii[k]. A box of a radius new to this search is
+        refused, if it can leave the double range, before any start is taken
+        from ``z0s``: a lazily drawn start is never drawn for a refused box."""
+        for r in radii:
+            if r not in self._checked:
+                _check_box(r, self._centre, self._reach)
+                self._checked.add(r)
+        z0s = list(z0s)
+        if not z0s:
+            return []
         boxes = [(-r, r) for r in radii]
         return _polled(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
 
+    def best(self, z0s: Sequence[np.ndarray], radius: float) -> np.ndarray:
+        """The first best offset of the search from the starts z0s in the
+        box ||z||_inf <= radius."""
+        return _first_best(self.polls(z0s, [radius] * len(z0s)))[0]
 
-def _search_tree(
-    tree: ScenarioTree,
-    pref: PreferenceSpec,
-    x0: float,
-    ref: ReferenceSpec,
-    cfg: SearchConfig,
-    starts: Callable[[np.ndarray, float, np.random.Generator], list[np.ndarray]],
-    n_atoms: int,
-    radius: float,
-    max_doublings: int,
-) -> tuple[list[PureStrategy], float]:
-    """Best equal-weight mixture of ``n_atoms`` pure strategies in the box
-    ||theta - subhedge||_inf <= radius per node and atom, searched as offsets
-    from the sub-hedge, and the radius of the box it ended in.
-    ``starts(phi, radius, rng)`` gives the start offsets; the box doubles up
-    to ``max_doublings`` times while the winner touches it."""
-    search = _OffsetSearch(tree, pref, x0, ref, n_atoms, cfg.tol)
-
-    def best(z0s: Sequence[np.ndarray]) -> np.ndarray:
-        return _first_best(search.polls(z0s, [radius] * len(z0s)))[0]
-
-    search.check(radius)
-    best_z = best(starts(search.phi, radius, np.random.default_rng(cfg.seed)))
-    for _ in range(max_doublings):
-        if np.max(np.abs(best_z)) < radius * (1 - 1e-9):
-            break
-        radius *= 2.0
-        search.check(radius)
-        best_z = best([best_z])
-    atoms = (search.stacked_phi + best_z).reshape(n_atoms, -1)
-    return [PureStrategy.from_flat(tree, theta) for theta in atoms], radius
+    def atoms(self, z: np.ndarray) -> list[PureStrategy]:
+        """The pure strategies ``phi + z``, one per atom of offset z."""
+        thetas = (self._stacked_phi + z).reshape(-1, self.phi.size)
+        return [PureStrategy.from_flat(self._tree, theta) for theta in thetas]
 
 
 def _pure_starts(
-    phi: np.ndarray,
-    extra: Sequence[np.ndarray],
-    radius: float,
-    rng: np.random.Generator | None,
-    n_random: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    phi: np.ndarray, extra: Sequence[np.ndarray], radius: float, cfg: SearchConfig
+) -> tuple[list[np.ndarray], Iterator[np.ndarray]]:
     """Start offsets of the pure search in the box of ``radius``: the zero,
     -phi and ``extra`` offsets clipped to the box, each duplicate after its
-    first dropped, and ``n_random`` uniform ones drawn from ``rng``."""
+    first dropped, and ``cfg.multistart`` uniform ones drawn as they are
+    taken, from a generator seeded with ``cfg.seed``, so that none is drawn
+    before the search refuses its box."""
+    rng = np.random.default_rng(cfg.seed)
     fixed: list[np.ndarray] = []
     for z0 in (np.clip(z, -radius, radius) for z in [np.zeros(phi.size), -phi, *extra]):
         if not any(np.array_equal(z0, s) for s in fixed):
             fixed.append(z0)
-    return fixed, [rng.uniform(-radius, radius, phi.size) for _ in range(n_random)]
+    return fixed, (rng.uniform(-radius, radius, phi.size) for _ in range(cfg.multistart))
 
 
 def _pure_search(
@@ -390,21 +360,25 @@ def _pure_search(
     cfg: SearchConfig,
     extra_starts: Sequence[PureStrategy] = (),
 ) -> tuple[PureStrategy, float]:
-    """The pure search of ``optimize_pure`` and the box radius it ended in."""
+    """The pure search of ``optimize_pure`` and the box radius it ended in;
+    the box doubles up to ``cfg.max_box_doublings`` times while the winner
+    touches it."""
     x0 = finite_capital(x0)
     if not pref.condition_a:
         warnings.warn("preferences fail the decisive well-posedness gate; the "
                       "objective may be effectively unbounded", stacklevel=3)
-
-    def starts(phi, radius, rng):
-        extra = [s.as_flat(tree) - phi for s in extra_starts]
-        fixed, randoms = _pure_starts(phi, extra, radius, rng, cfg.multistart)
-        return fixed + randoms
-
+    search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
     radius = cfg.box_radius if cfg.box_radius is not None else default_box_radius(x0)
-    (strategy,), radius = _search_tree(
-        tree, pref, x0, ref, cfg, starts, 1, radius, cfg.max_box_doublings
-    )
+    extra = [s.as_flat(tree) - search.phi for s in extra_starts]
+    fixed, randoms = _pure_starts(search.phi, extra, radius, cfg)
+    n = len(fixed) + cfg.multistart
+    z, _ = _first_best(search.polls(chain(fixed, randoms), [radius] * n))
+    for _ in range(cfg.max_box_doublings):
+        if np.max(np.abs(z)) < radius * (1 - 1e-9):
+            break
+        radius *= 2.0
+        z = search.best([z], radius)
+    (strategy,) = search.atoms(z)
     return strategy, radius
 
 
@@ -435,26 +409,21 @@ def _probe_search(
     search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
     phi = search.phi
     boxed = [r for r in radii if r != 0.0]
-    for r in boxed:
-        search.check(r)
-    starts = [
-        _pure_starts(phi, (), r, np.random.default_rng(cfg.seed), cfg.multistart) for r in boxed
-    ]
-    z0s = [z0 for fixed, randoms in starts for z0 in fixed + randoms]
-    rs = [r for r, (fixed, randoms) in zip(boxed, starts) for _ in fixed + randoms]
-    polled = iter(search.polls(z0s, rs) if z0s else ())
+    starts = [_pure_starts(phi, (), r, cfg) for r in boxed]
+    counts = [len(fixed) + cfg.multistart for fixed, _ in starts]
+    rs = [r for r, n in zip(boxed, counts) for _ in range(n)]
+    polled = iter(search.polls(chain.from_iterable(chain(*s) for s in starts), rs))
     found: list[PureStrategy] = []
     if len(boxed) < len(radii):
         # the box of radius 0 is the single point theta = subhedge
         found.append(ref.subhedge)
-    for r, (fixed, randoms) in zip(boxed, starts):
-        results = [next(polled) for _ in fixed + randoms]
+    for r, (fixed, _), n in zip(boxed, starts, counts):
+        results = [next(polled) for _ in range(n)]
         if found:
-            warm, _ = _pure_starts(phi, [found[-1].as_flat(tree) - phi], r, None, 0)
-            if len(warm) > len(fixed):
-                results[len(fixed) : len(fixed)] = search.polls(warm[-1:], [r])
-        z, _ = _first_best(results)
-        found.append(PureStrategy.from_flat(tree, phi + z))
+            warm = np.clip(found[-1].as_flat(tree) - phi, -r, r)
+            if not any(np.array_equal(warm, z0) for z0 in fixed):
+                results[len(fixed) : len(fixed)] = search.polls([warm], [r])
+        found += search.atoms(_first_best(results)[0])
     return found
 
 
@@ -494,13 +463,12 @@ def optimize_randomized(
     if n_atoms == 1:
         return RandomizedStrategy.equal_weights([pure_strat]), pure_val
 
-    def starts(phi, radius, rng):
-        z_pure = np.tile(np.clip(pure_strat.as_flat(tree) - phi, -radius, radius), n_atoms)
-        jitter = z_pure + rng.uniform(-radius / 8, radius / 8, z_pure.size)
-        randoms = [rng.uniform(-radius, radius, z_pure.size) for _ in range(cfg.multistart)]
-        return [z_pure, np.clip(jitter, -radius, radius)] + randoms
-
-    atoms, _ = _search_tree(tree, pref, x0, ref, cfg, starts, n_atoms, radius, 0)
+    search = _OffsetSearch(tree, pref, x0, ref, n_atoms, cfg.tol)
+    rng = np.random.default_rng(cfg.seed)
+    z_pure = np.tile(np.clip(pure_strat.as_flat(tree) - search.phi, -radius, radius), n_atoms)
+    jitter = z_pure + rng.uniform(-radius / 8, radius / 8, z_pure.size)
+    randoms = [rng.uniform(-radius, radius, z_pure.size) for _ in range(cfg.multistart)]
+    atoms = search.atoms(search.best([z_pure, np.clip(jitter, -radius, radius), *randoms], radius))
     strategy = RandomizedStrategy.equal_weights(atoms)
     value = cpt_value(tree, strategy, x0, ref, pref)
     if pure_val.v is not None and value.v < pure_val.v - 1e-9:
@@ -627,10 +595,10 @@ def ladder(
         while len(starts) < 1 + cfg.multistart:
             starts.append(rng.uniform(0.0, 1.0, m))
         law = _coin_law(np.full(m, 1.0 / m))
-        best_z, best_v = _multistart(
-            lambda block: _coin_cpt_rows(block, law, w_plus), shift, np.copy, starts, 0.0,
-            radius, cfg.tol,
-        )
+        best_z, best_v = _first_best(_polled(
+            lambda block: _coin_cpt_rows(block, law, w_plus), shift, np.copy, starts,
+            [(0.0, radius)] * len(starts), cfg.tol,
+        ))
         prev = np.sort(best_z)
         values.append(best_v)
         argmaxes.append(tuple(float(b) for b in prev))

@@ -87,7 +87,7 @@ class Distortion:
         g_upper: float | None = None,
         g_lower: float | None = None,
     ) -> "Distortion":
-        return cls("custom", float(gamma), fn, g_upper, g_lower)
+        return cls("custom", _distortion_gamma(gamma), fn, g_upper, g_lower)
 
 
 def _check_distortion_shape(d: Distortion, side: str) -> None:
@@ -97,14 +97,15 @@ def _check_distortion_shape(d: Distortion, side: str) -> None:
     if np.any(np.diff(vals) < -1e-12):
         raise ValidationError(f"{side} distortion not monotone on the check grid")
     if side == "gain":
-        if d.g_upper is None or d.g_upper <= 0:
-            raise ValidationError("gain distortion needs a positive upper envelope constant")
+        # the chained comparisons fail on NaN too
+        if d.g_upper is None or not 0.0 < d.g_upper < np.inf:
+            raise ValidationError("gain distortion needs a positive finite upper envelope constant")
         bound = d.g_upper * _UNIT_GRID**d.gamma
         if np.any(vals > bound + 1e-9):
             raise ValidationError("gain distortion violates w(p) <= g * p^gamma on the grid")
     else:
-        if d.g_lower is None or d.g_lower <= 0:
-            raise ValidationError("loss distortion needs a positive lower envelope constant")
+        if d.g_lower is None or not 0.0 < d.g_lower < np.inf:
+            raise ValidationError("loss distortion needs a positive finite lower envelope constant")
         if np.any(vals < d.g_lower * _UNIT_GRID - 1e-9):
             raise ValidationError("loss distortion violates w(p) >= g * p on the grid")
 

@@ -117,6 +117,20 @@ class TestDiscretizedDiffusion:
         assert tree.asset_dim == 1
         assert sorted(tree.increments[i][0] for i in tree.leaf_ids) == [-1.0, -1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_ellipticity_floor_positive_and_finite(self, floor):
+        # a NaN floor would flag no direction, an infinite one every direction
+        with pytest.raises(ValidationError, match="^ellipticity floor must be positive and finite"):
+            DiffusionSpec(
+                state_dim=1,
+                noise_dim=1,
+                drift=lambda y: np.zeros(1),
+                volatility=lambda y: 1e-9 * np.eye(1),
+                ellipticity_floor=floor,
+                noise_pmf=self.coin_noise(),
+                initial_state=(0.0,),
+            )
+
     def test_bad_traded_index_rejected(self):
         spec = DiffusionSpec(
             state_dim=1,

@@ -109,7 +109,9 @@ def speculative(f, z0, lo=-1.0, hi=1.0, tol=1e-9):
         sizes.append(len(block))
         return np.array([f(row) for row in block])
 
-    return optimize._multistart(values_of, row_shift, np.copy, [z0], lo, hi, tol), sizes
+    return optimize._first_best(
+        optimize._polled(values_of, row_shift, np.copy, [z0], [(lo, hi)], tol)
+    ), sizes
 
 
 def both(f, z0, **box):
@@ -207,7 +209,10 @@ def lockstep(f, z0s, lo=-1.0, hi=1.0, tol=1e-9):
         sizes.append(len(block))
         return np.array([f(row) for row in block])
 
-    return optimize._multistart(values_of, row_shift, np.copy, z0s, lo, hi, tol), sizes
+    boxes = [(lo, hi)] * len(z0s)
+    return optimize._first_best(
+        optimize._polled(values_of, row_shift, np.copy, z0s, boxes, tol)
+    ), sizes
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from cpttree import (
     boundedness_probe,
     build_iid_market,
     coin_model_preferences,
+    PureStrategy,
     ladder,
     optimize_pure,
     optimize_randomized,
@@ -62,6 +63,20 @@ def test_pure_coin_box_doublings():
     assert flat(strat) == (0.25000000000000006,)
 
 
+def test_pure_with_an_extra_start():
+    # the extra start duplicates no fixed start, and its poll wins
+    tree = build_iid_market([(0.3, 1.0), (0.4, 0.1), (0.3, -0.9)], 2)
+    extra = PureStrategy({0: (0.3,), 1: (0.03,), 2: (0.3,), 3: (0.01,)})
+    strat, val = optimize_pure(
+        tree, INVERSE_S, 0.0, ReferenceSpec.constant(tree, 0.2), SearchConfig(seed=2, multistart=1),
+        extra_starts=[extra],
+    )
+    assert val.v == -0.27928141850746113
+    assert flat(strat) == (
+        0.2681855347007513, 0.02493715167045593, 0.29798392690718173, 2.2351741811588166e-10
+    )
+
+
 @pytest.mark.parametrize(
     "x0,v,theta",
     [
@@ -88,6 +103,19 @@ def test_two_atom_mixture_coin():
     assert val.v == 0.3895387222774854
     assert [(w, flat(a)) for w, a in strat.atoms] == [
         (0.5, (0.3968502692115443,)), (0.5, (-0.12253470242796993,))
+    ]
+
+
+def test_two_atom_mixture_after_box_doublings():
+    # the pure search doubles its box of 0.1, and the mixture runs in the doubled box
+    tree = build_iid_market(COIN, 1)
+    strat, val = optimize_randomized(
+        tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(tree), 2,
+        SearchConfig(seed=1, multistart=1, box_radius=0.1),
+    )
+    assert val.v == 0.38953872227748554
+    assert [(w, flat(a)) for w, a in strat.atoms] == [
+        (0.5, (0.3968502640724182,)), (0.5, (-0.12253470420837398,))
     ]
 
 
@@ -150,3 +178,31 @@ def test_boundedness_probe_with_subhedge():
         (4.0, 0.21623706365540177),
     )
     assert res.plateau
+
+
+def test_boundedness_probe_from_radius_zero():
+    # radius 0 is the sub-hedge; the warm-start chain begins at the first nonzero radius
+    tree = build_iid_market([(0.3, 1.0), (0.4, 0.1), (0.3, -0.9)], 2)
+    res = boundedness_probe(
+        tree, INVERSE_S, 0.7, ReferenceSpec.constant(tree, 0.2), [0.0, 0.05, 0.1, 0.2],
+        SearchConfig(seed=3, multistart=2),
+    )
+    assert res.points == (
+        (0.0, 0.8122523963562355),
+        (0.05, 0.813142249896616),
+        (0.1, 0.8134026989883436),
+        (0.2, 0.813418135104033),
+    )
+    assert not res.plateau
+
+
+def test_boundedness_probe_with_subhedge_from_radius_zero():
+    tree, pref, ref, x0 = random_instance()
+    cfg = SearchConfig(seed=0, multistart=2)
+    res = boundedness_probe(tree, pref, x0, ref, [0.0, 0.5, 1, 2], cfg)
+    assert res.points == (
+        (0.0, 0.17031051720406043),
+        (0.5, 0.2162370636554018),
+        (1.0, 0.2162370636554018),
+        (2.0, 0.2162370636554018),
+    )

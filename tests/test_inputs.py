@@ -1,17 +1,18 @@
 """Input rules that several entry points share, with their exact messages:
 finite-law masses (the coin model's position weights among them), blank and comment lines, distortion exponents and the
-two-step position's tail exponent."""
+two-step position's tail exponent; the envelope and aux-objective constants, positive and finite."""
 
 import math
 
 import pytest
 
 from cpttree.builders import build_iid_market, emit_pmf, parse_pmf
-from cpttree.choquet import DiscreteRV
+from cpttree.choquet import AuxParams, DiscreteRV
 from cpttree.errors import ValidationError
 from cpttree.optimize import coin_cpt_value
 from cpttree.preferences import (
     Distortion,
+    DistortionPair,
     coin_model_preferences,
     parse_preferences,
     tk_distortion,
@@ -105,12 +106,36 @@ def test_blank_and_comment_lines_are_skipped(parse, text):
 
 @pytest.mark.parametrize(
     "make",
-    [Distortion.power, Distortion.tk, lambda g: tk_distortion(g, 0.5)],
-    ids=["power", "tk", "tk_distortion"],
+    [
+        Distortion.power,
+        Distortion.tk,
+        lambda g: tk_distortion(g, 0.5),
+        lambda g: Distortion.custom(lambda p: p, g, g_upper=1.0, g_lower=1.0),
+    ],
+    ids=["power", "tk", "tk_distortion", "custom"],
 )
-@pytest.mark.parametrize("gamma", [0.0, 1.5, NAN])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, 1.5, NAN])
 def test_gamma_outside_unit_interval(make, gamma):
     assert refusal(make, gamma) == "gamma must lie in (0, 1]"
+
+
+@pytest.mark.parametrize("bad", [None, 0.0, -1.0, NAN, math.inf])
+def test_envelope_constants_positive_and_finite(bad):
+    gain = Distortion.custom(lambda p: p**0.3, 0.3, g_upper=bad)
+    assert refusal(DistortionPair, gain, Distortion.identity()) == (
+        "gain distortion needs a positive finite upper envelope constant"
+    )
+    loss = Distortion.custom(lambda p: p, 1.0, g_lower=bad)
+    assert refusal(DistortionPair, Distortion.identity(), loss) == (
+        "loss distortion needs a positive finite lower envelope constant"
+    )
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, NAN, math.inf])
+def test_aux_constants_positive_and_finite(bad):
+    # (k_plus_tilde, k_minus_tilde, lam, subhedge, floor)
+    for args in [(bad, 2.0, 2.0, STAY, 0.0), (2.0, bad, 2.0, STAY, 0.0)]:
+        assert refusal(AuxParams, *args) == "aux constants must be positive and finite"
 
 
 @pytest.mark.parametrize(
