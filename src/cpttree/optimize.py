@@ -104,14 +104,25 @@ def _poll(
     from the incumbent until a whole cycle brings no improvement, which
     guards against unlucky step phasing near kinks.
 
+    A restarted cycle that has accepted nothing yet polls only the steps
+    above that of the last cycle's last acceptance. After that acceptance
+    the last cycle tried every coordinate at that step and at every smaller
+    one from the final z, against the same best, and every move failed (a
+    non-finite value would have raised). The restarted cycle would value the
+    same rows again, so they cannot improve and the result is unchanged, bit
+    for bit. An acceptance in the restarted cycle restores the full schedule.
+
     The poll is speculative: the moves the sequential poll would try next if
     none improved are requested as one block, and the first improver in poll
     order is accepted, so the trajectory is that of the one-move-at-a-time
-    poll. Only the moves that poll would have evaluated count against the
-    budget. The block spans ``span`` coordinates at first, doubles after a
-    block without an improver and halves, down to ``span``, after an
-    acceptance; it never crosses the end of a cycle and never holds more
-    than ``row_cap()`` moves, the cap being read as each block is planned.
+    poll. ``evals`` and the budget count the moves actually valued: of a
+    block, the moves up to its first improver, and never the refuted moves a
+    restarted cycle skips. So where the budget binds after a skip, this poll
+    can go on past the point where a poll that re-values them stops. The
+    block spans ``span`` coordinates at first, doubles after a block without
+    an improver and halves, down to ``span``, after an acceptance; it never
+    crosses the end of a cycle and never holds more than ``row_cap()``
+    moves, the cap being read as each block is planned.
     """
     z = z0.tolist()  # Python floats plan faster than numpy scalars, to the same bits
     best = _finite(best)
@@ -119,16 +130,17 @@ def _poll(
     step0 = (hi - lo) / 4.0
     evals = 0
     width = span
+    stop = tol
     for _ in range(50):
         cycle_start = best
         step, j, fails = step0, 0, 0
-        while step > tol and evals < _EVAL_BUDGET:
+        while step > stop and evals < _EVAL_BUDGET:
             limit = row_cap()
             # the moves of the next ``width`` coordinates, if none improves
             moves, js, deltas = [], [], []
             s, jj, f, e = step, j, fails, evals
             for _ in range(width):
-                if not (s > tol and e < _EVAL_BUDGET) or len(moves) + 2 > limit:
+                if not (s > stop and e < _EVAL_BUDGET) or len(moves) + 2 > limit:
                     break
                 zj = z[jj]
                 for nc in (zj + s, zj - s):
@@ -160,8 +172,10 @@ def _poll(
             evals += i + 1
             j, fails = (jj + 1) % m, 0
             width = max(span, width // 2)
+            stop, accepted = tol, step
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
+        stop = accepted
     return np.array(z), best
 
 

@@ -92,6 +92,9 @@ class Distortion:
 
 def _check_distortion_shape(d: Distortion, side: str) -> None:
     vals = np.asarray(d.fn(_UNIT_GRID), dtype=float)
+    # NaN passes every comparison below
+    if not np.isfinite(vals).all():
+        raise ValidationError(f"{side} distortion is not finite on the check grid")
     if abs(float(d.fn(0.0))) > 1e-12 or abs(float(d.fn(1.0)) - 1.0) > 1e-12:
         raise ValidationError(f"{side} distortion must satisfy w(0)=0, w(1)=1")
     if np.any(np.diff(vals) < -1e-12):
@@ -164,6 +167,10 @@ class UtilityPair:
             raise ValidationError("envelope constants must be positive and finite")
         up = np.asarray(self.u_plus(_ENVELOPE_GRID), dtype=float)
         um = np.asarray(self.u_minus(_ENVELOPE_GRID), dtype=float)
+        # NaN passes every comparison below
+        for name, vals in (("u_plus", up), ("u_minus", um)):
+            if not np.isfinite(vals).all():
+                raise ValidationError(f"{name} is not finite on the check grid")
         if abs(up[0]) > 1e-12 or abs(um[0]) > 1e-12:
             raise ValidationError("utilities must vanish at 0")
         if np.any(up < -1e-12) or np.any(um < -1e-12):

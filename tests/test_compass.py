@@ -392,3 +392,95 @@ def test_block_cap_changes_no_result_on_a_wide_law(monkeypatch):
         assert max(blocks) <= cap
     assert max(blocks) > 1 << 13  # the largest cap was used
     assert all(f == found[0] for f in found)
+
+
+# --- restarted cycles stop where the last cycle's refutations begin -----------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 5, 40]),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_schedules_of_few_step_sizes(seed, m, n_starts, n_steps, u):
+    # step0 is 0.5 in [-1, 1]^m, and a tol in [step0 / 2**n, step0 / 2**(n-1))
+    # leaves n step sizes: there the restarted cycles skip the most
+    rng = np.random.default_rng(seed)
+    f = kinked_objective(rng, m)
+    z0s = [rng.uniform(-1.0, 1.0, m) for _ in range(n_starts)]
+    tol = 0.5 * 0.5**n_steps * (1.0 + u)
+    assert_same(reference_multistart(f, z0s, tol=tol), lockstep(f, z0s, tol=tol)[0])
+
+
+def one_sweep(z, lo, hi, step):
+    """The moves of one sweep of every coordinate of z at ``step`` in [lo, hi]."""
+    return sum(min(hi, max(lo, x + d)) != x for x in z for d in (step, -step))
+
+
+@pytest.fixture
+def polls_after_last_improvement(monkeypatch):
+    """For each start's poll, in start order: the rows it requests after its
+    last improving block, whether any of its blocks improved, and the moves
+    of one sweep of its final z at the first step. A poll's best is read from
+    its arguments and then from its replies."""
+    polls = []
+    real = optimize._poll
+
+    def counted(*args, **kwargs):
+        record = {"after": 0, "improved": False}
+        polls.append(record)
+        best, lo, hi = args[2], args[3], args[4]
+        poll = real(*args, **kwargs)
+        reply = None
+        while True:
+            try:
+                request = poll.send(reply)
+            except StopIteration as done:
+                record["sweep"] = one_sweep(done.value[0].tolist(), lo, hi, (hi - lo) / 4.0)
+                return done.value
+            reply = yield request
+            values = reply[1]
+            hit = (values > best).nonzero()[0]
+            if hit.size:  # the first improver is accepted
+                best = values[hit[0]]
+                record["after"], record["improved"] = 0, True
+            else:
+                record["after"] += len(request[1])
+
+    monkeypatch.setattr(optimize, "_poll", counted)
+    return polls
+
+
+@pytest.mark.parametrize("m", [1, 5, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_single_step_schedule_polls_the_final_point_once(m, seed, polls_after_last_improvement):
+    # with tol in (step0 / 2, step0) each cycle is one sweep at step0: after
+    # the last acceptance the poll ends one sweep of the final z later, where
+    # the restarted cycle used to sweep it a second time
+    rng = np.random.default_rng(200 + seed)
+    f = kinked_objective(rng, m)
+    z0s = [rng.uniform(-1.0, 1.0, m) for _ in range(4)]
+    tol = 0.5 * rng.uniform(0.51, 0.99)
+    got, _ = lockstep(f, z0s, tol=tol)
+    assert_same(reference_multistart(f, z0s, tol=tol), got)
+    polls = polls_after_last_improvement
+    assert len(polls) == 4 and any(p["improved"] for p in polls)
+    for p in polls:
+        assert p["after"] == p["sweep"] <= 2 * m
+
+
+def test_single_step_coin_search_rows(monkeypatch, polls_after_last_improvement):
+    # the frozen T=3 case of tests/test_frozen_search.py: seven coordinates,
+    # three starts, each ending one sweep (at most 14 rows) after its last
+    # improvement; a second sweep of each final z took it to 142 rows
+    _, blocks, _ = coin_search(
+        monkeypatch, 3, 2, optimize._EVAL_BUDGET, seed=1, box_radius=1.0, tol=0.3
+    )
+    polls = polls_after_last_improvement
+    assert len(polls) == 3 and all(p["improved"] for p in polls)
+    for p in polls:
+        assert p["after"] == p["sweep"] <= 2 * 7
+    assert sum(blocks) <= 100 * 8  # rows of eight leaf outcomes

@@ -77,6 +77,20 @@ def test_pure_with_an_extra_start():
     )
 
 
+def test_pure_coin_single_step_schedule():
+    # tol between step0 / 2 and step0: every cycle polls one step size only
+    tree = build_iid_market(COIN, 3)
+    strat, val = optimize_pure(
+        tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(tree),
+        SearchConfig(box_radius=1.0, tol=0.3, multistart=2, seed=1, max_box_doublings=0),
+    )
+    assert val.v == 0.44376398608744216
+    assert flat(strat) == (
+        0.023643249400513433, 0.5, -0.21168077456073253, 0.3972988942744877,
+        -0.8763370959790291, 0.3466528979451513, 0.1554051876408835,
+    )
+
+
 @pytest.mark.parametrize(
     "x0,v,theta",
     [

@@ -1,9 +1,11 @@
 """Input rules that several entry points share, with their exact messages:
 finite-law masses (the coin model's position weights among them), blank and comment lines, distortion exponents and the
-two-step position's tail exponent; the envelope and aux-objective constants, positive and finite."""
+two-step position's tail exponent; the envelope and aux-objective constants, positive and finite; custom
+distortions and utilities, finite on their check grids."""
 
 import math
 
+import numpy as np
 import pytest
 
 from cpttree.builders import build_iid_market, emit_pmf, parse_pmf
@@ -13,6 +15,7 @@ from cpttree.optimize import coin_cpt_value
 from cpttree.preferences import (
     Distortion,
     DistortionPair,
+    UtilityPair,
     coin_model_preferences,
     parse_preferences,
     tk_distortion,
@@ -152,3 +155,26 @@ def test_ell_positive_and_finite(make, ell):
     assert refusal(make, coin_model_preferences(), ell) == "ell must be positive and finite"
     # the exponent is checked before the preference families
     assert refusal(make, tversky_kahneman_preferences(), ell) == "ell must be positive and finite"
+
+
+def nan_between(lo, hi, fn):
+    """``fn`` with NaN where its argument lies strictly between lo and hi."""
+    return lambda x: np.where((np.asarray(x) > lo) & (np.asarray(x) < hi), NAN, fn(np.asarray(x)))
+
+
+def test_distortion_not_finite_on_the_check_grid():
+    nan_inside = Distortion.custom(nan_between(0.3, 0.5, lambda p: p), 1.0, g_upper=1.0, g_lower=1.0)
+    assert refusal(DistortionPair, nan_inside, Distortion.identity()) == (
+        "gain distortion is not finite on the check grid"
+    )
+    assert refusal(DistortionPair, Distortion.identity(), nan_inside) == (
+        "loss distortion is not finite on the check grid"
+    )
+
+
+@pytest.mark.parametrize("side", ["u_plus", "u_minus"])
+def test_utility_not_finite_on_the_check_grid(side):
+    funcs = {"u_plus": lambda x: np.asarray(x) ** 0.5, "u_minus": lambda x: np.asarray(x)}
+    funcs[side] = nan_between(1.0, 10.0, funcs[side])
+    make = lambda: UtilityPair(k_plus=1.0, alpha_plus=0.5, k_minus=1.0, alpha_minus=1.0, **funcs)
+    assert refusal(make) == f"{side} is not finite on the check grid"
