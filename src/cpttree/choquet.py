@@ -411,8 +411,8 @@ def moment_tail_certificate(moments: Mapping[int, float], delta: float) -> float
     Chebyshev gives P(Y >= y) <= E[Y^N] y^-N, so the smallest N with
     N*delta > 1 certifies the bound 1 + (E[Y^N])^delta / (N*delta - 1).
     """
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    if not 0.0 < delta < np.inf:  # NaN fails too
+        raise ValidationError("delta must be positive and finite")
     admissible = sorted(n for n in moments if n * delta > 1.0)
     if not admissible:
         raise ValidationError("insufficient moments: need some N with N * delta > 1")

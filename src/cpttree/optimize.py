@@ -77,11 +77,6 @@ _BLOCK_FLOATS = 1 << 13
 _SPAN_FLOATS = 16
 
 
-def _span(size: int) -> int:
-    """Coordinates a start's block spans at least, for states of ``size`` floats."""
-    return max(1, _SPAN_FLOATS // size)
-
-
 def _poll(
     z0: np.ndarray,
     state: np.ndarray,
@@ -188,49 +183,62 @@ def _finite(v: float) -> float:
 def _lockstep(
     values_of: Callable[[np.ndarray], np.ndarray],
     shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    state_of: Callable[[np.ndarray], np.ndarray],
     z0s: Sequence[np.ndarray],
-    states: np.ndarray,
     boxes: Sequence[tuple[float, float]],
     tol: float,
 ) -> list[tuple[np.ndarray, float]]:
-    """``(z, best)`` of the poll from each start z0s[k] with state states[k]
-    in its box [lo, hi]^m, ``(lo, hi) = boxes[k]``.
+    """``(z, best)`` of the poll from each start z0s[k] in its box [lo, hi]^m,
+    ``(lo, hi) = boxes[k]``, in start order, ``state_of(z0)`` giving a
+    start's state.
 
-    The polls run in lockstep: one call values the start states, and in each
-    round the block requests of all live polls are stacked, shifted with one
-    ``shift`` call and valued with one ``values_of`` call; each poll gets its
-    own rows back, with one finiteness flag for all the round's values.
-    ``shift(base, js, deltas)`` takes one state or one base row per move; a
-    lone live poll passes its state as is, without a stacked copy of it per
-    row. The live polls share ``_BLOCK_FLOATS``, which keeps a round's kernel
-    temporaries cache-sized, each start's block holding at least its
-    ``_span`` coordinates.
+    At most ``fit`` polls are live: as many as fit ``_BLOCK_FLOATS`` with
+    their smallest blocks stacked, for states of the size L of the first
+    start's. Whenever live polls end, the next starts are taken up until
+    every place is full or no start is left; their states are built then
+    and valued by one ``values_of`` call. A poll can end at its first
+    request, so the take-up does not wait for a round. In each round the
+    block requests of all live polls are stacked, shifted with one ``shift``
+    call and valued with one ``values_of`` call; each poll gets its own rows
+    back, with one finiteness flag for all the round's values. ``shift(base,
+    js, deltas)`` takes one state or one base row per move; a lone live poll
+    passes its state as is, without a stacked copy of it per row. A poll
+    plans each block within the ``_BLOCK_FLOATS`` shared by the polls live
+    then, spanning at least max(1, _SPAN_FLOATS // L) coordinates. A poll's
+    trajectory depends neither on its block sizes nor on the polls it shares
+    a round with, so neither does its result.
     """
-    size = states.shape[1]
-    span = _span(size)
-    n_live = len(z0s)
+    first = state_of(z0s[0])
+    size = first.size
+    span = max(1, _SPAN_FLOATS // size)
+    fit = max(1, _BLOCK_FLOATS // (2 * span * size))
+    polls: dict = {}
 
     def row_cap() -> int:
-        return max(2 * span, _BLOCK_FLOATS // (size * n_live))
+        return max(2 * span, _BLOCK_FLOATS // (size * len(polls)))
 
-    polls = [
-        _poll(z0, state, float(v), lo, hi, tol, row_cap, span)
-        for z0, state, v, (lo, hi) in zip(z0s, states, values_of(states), boxes)
-    ]
-    results: list = [None] * len(polls)
+    results: list = [None] * len(z0s)
     requests: dict = {}
 
     def answer(k: int, reply) -> None:
-        nonlocal n_live
         try:
             requests[k] = polls[k].send(reply)
         except StopIteration as done:
             results[k] = done.value
-            n_live -= 1
+            del polls[k]
 
-    for k in range(len(polls)):
-        answer(k, None)
-    while requests:
+    taken = 0
+    while True:
+        while len(polls) < fit and taken < len(z0s):
+            ks = range(taken, min(len(z0s), taken + fit - len(polls)))
+            taken = ks.stop
+            states = np.stack([first if k == 0 else state_of(z0s[k]) for k in ks])
+            for k, state, v in zip(ks, states, values_of(states)):
+                polls[k] = _poll(z0s[k], state, float(v), *boxes[k], tol, row_cap, span)
+            for k in ks:
+                answer(k, None)
+        if not requests:
+            return results
         ks = list(requests)
         bases, jss, deltass = zip(*requests.values())
         requests.clear()
@@ -246,36 +254,6 @@ def _lockstep(
         for k, c in zip(ks, counts):
             answer(k, (block[a : a + c], values[a : a + c], finite))
             a += c
-    return results
-
-
-def _polled(
-    values_of: Callable[[np.ndarray], np.ndarray],
-    shift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    state_of: Callable[[np.ndarray], np.ndarray],
-    starts: Sequence[np.ndarray],
-    boxes: Sequence[tuple[float, float]],
-    tol: float,
-) -> list[tuple[np.ndarray, float]]:
-    """``(z, best)`` of the compass search from every start, each in its own
-    ``(lo, hi)`` box, in start order.
-
-    The start states are stacked up front, and the starts are polled in
-    lockstep groups of one fixed size: consecutive starts, as many as fit
-    ``_BLOCK_FLOATS`` with their smallest blocks stacked. So a block exceeds
-    the cache-sized ``_BLOCK_FLOATS`` only where one start's smallest block
-    does. A poll's trajectory does not depend on the polls it shares its
-    blocks with, so neither does its result.
-    """
-    states = np.stack([state_of(z0) for z0 in starts])
-    size = states.shape[1]
-    fit = max(1, _BLOCK_FLOATS // (2 * _span(size) * size))
-    results: list[tuple[np.ndarray, float]] = []
-    for a in range(0, len(starts), fit):
-        results += _lockstep(
-            values_of, shift, starts[a : a + fit], states[a : a + fit], boxes[a : a + fit], tol
-        )
-    return results
 
 
 def _first_best(results: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
@@ -337,7 +315,7 @@ class _OffsetSearch:
         if not z0s:
             return []
         boxes = [(-r, r) for r in radii]
-        return _polled(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
+        return _lockstep(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
 
     def best(self, z0s: Sequence[np.ndarray], radius: float) -> np.ndarray:
         """The first best offset of the search from the starts z0s in the
@@ -410,8 +388,8 @@ def _probe_search(
     radius before as its extra start (the warm start).
 
     The starts that depend on no other radius, the zero, -phi and random
-    offsets of every radius, are polled together, each in its own box, in
-    ``_polled``'s cache-sized groups. Then the warm starts run as a chain of
+    offsets of every radius, are polled together, each in its own box, taken
+    up in order by one ``_lockstep``. Then the warm starts run as a chain of
     lone polls, each from the strategy of the radius before, rebuilt as
     ``subhedge + (theta - subhedge)``; a warm start that duplicates a fixed
     one is dropped, as in ``optimize_pure``. The first best in that search's
@@ -537,9 +515,7 @@ def _coin_sides(
 
 
 def coin_cpt_value(
-    theta_values: Sequence[float],
-    weights: Sequence[float] | None = None,
-    w_plus: Distortion | Callable = _SQRT_DISTORTION,
+    theta_values: Sequence[float], weights: Sequence[float] | None = None
 ) -> CPTValue:
     """Exact CPT value of an externally mixed position in the fair-coin market.
 
@@ -548,15 +524,16 @@ def coin_cpt_value(
     the quartic root, losses linearly with no loss distortion.
     """
     vals, w = _position_law(theta_values, weights)
-    (v_plus,), (v_minus,) = _coin_sides(vals[None], _coin_law(w), w_plus)
+    (v_plus,), (v_minus,) = _coin_sides(vals[None], _coin_law(w), _SQRT_DISTORTION)
     return CPTValue.from_parts(float(v_plus), float(v_minus))
 
 
 def _coin_cpt_rows(
     theta_rows: np.ndarray, law: tuple[np.ndarray, _Law], w_plus: Distortion | Callable
 ) -> np.ndarray:
-    """``coin_cpt_value(row, w, w_plus).v`` for every row of a (K, m) block of
-    positions, ``law`` being ``_coin_law(w)``."""
+    """The coin-market CPT value, gains distorted by ``w_plus``, of every
+    row of a (K, m) block of positions, ``law`` being ``_coin_law(w)``: under
+    the square-root distortion, ``coin_cpt_value(row, w).v``."""
     v_plus, v_minus = _coin_sides(np.abs(theta_rows), law, w_plus)
     return v_plus - v_minus
 
@@ -581,10 +558,11 @@ def ladder(
 ) -> LadderResult:
     """Maximal coin-model value using 2^k equal-weight external atoms, k <= n_max.
 
-    Level k searches the nonnegative atom values directly (the objective
-    depends on the position only through |theta|); level k+1 is seeded with
-    the level-k argmax duplicated, so the ladder is nondecreasing by
-    construction.
+    Level k searches the nonnegative atom values in [0, radius] directly (the
+    objective depends on the position only through |theta|); level k+1 is
+    seeded with the level-k argmax duplicated, so the ladder is nondecreasing
+    by construction. Every start is clipped into the box: 0.25 and the
+    random starts, drawn on [0, 1], lie outside a box of radius below 1.
     """
     if _count(n_max, "n_max") < 0:
         raise ValidationError("n_max must be >= 0")
@@ -608,8 +586,9 @@ def ladder(
         starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
         while len(starts) < 1 + cfg.multistart:
             starts.append(rng.uniform(0.0, 1.0, m))
+        starts = [np.clip(z0, 0.0, radius) for z0 in starts]
         law = _coin_law(np.full(m, 1.0 / m))
-        best_z, best_v = _first_best(_polled(
+        best_z, best_v = _first_best(_lockstep(
             lambda block: _coin_cpt_rows(block, law, w_plus), shift, np.copy, starts,
             [(0.0, radius)] * len(starts), cfg.tol,
         ))

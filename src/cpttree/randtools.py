@@ -31,6 +31,9 @@ KS_CRITICAL_001 = 1.63
 CHI2_CRITICAL_001_DF9 = 21.665994333461924
 # quantile bins per sample of the chi-square test, the 4 of its critical value
 _CHI2_BINS = 4
+# a rise of uniformize's cdf between two grid points that is bisected as a
+# possible atom; it warns where half of it persists at width 1e-9
+_UNIFORMIZE_ATOM_TOL = 1e-3
 
 
 def _digit(m, k: int):
@@ -199,28 +202,24 @@ def tv_distance(a: FiniteJoint, b: FiniteJoint) -> float:
     return 0.5 * sum(abs(ma.get(k, 0.0) - mb.get(k, 0.0)) for k in keys)
 
 
-def uniformize(
-    F: Callable[[float], float],
-    x: float,
-    grid: Sequence[float] | None = None,
-    atom_tol: float = 1e-3,
-) -> float:
-    """F(x) after checking F is a nondecreasing [0,1]-valued cdf on a grid.
+def uniformize(F: Callable[[float], float], x: float) -> float:
+    """F(x) after checking F is a nondecreasing [0,1]-valued cdf on a grid of
+    501 points over [-s, s], s = max(50, 2|x|).
 
-    An apparent jump on the grid is bisected down to width 1e-9; a persisting
-    mass gap means the law has an atom, which breaks the uniform-output
-    guarantee, so a warning is emitted.
+    An apparent jump on the grid, a rise above ``_UNIFORMIZE_ATOM_TOL``, is
+    bisected down to width 1e-9; a persisting mass gap means the law has an
+    atom, which breaks the uniform-output guarantee, so a warning is emitted.
     """
-    if grid is None:
-        span = max(50.0, 2.0 * abs(x))
-        grid = np.linspace(-span, span, 501)
-    g = np.asarray(sorted(grid), dtype=float)
+    if not -np.inf < x < np.inf:  # NaN fails too
+        raise ValidationError("x must be finite")
+    span = max(50.0, 2.0 * abs(x))
+    g = np.linspace(-span, span, 501)
     vals = np.array([float(F(t)) for t in g])
     if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
         raise ValidationError("cdf values must lie in [0, 1]")
     if np.any(np.diff(vals) < -1e-12):
         raise ValidationError("cdf not monotone on the check grid")
-    for i in np.nonzero(np.diff(vals) > atom_tol)[0]:
+    for i in np.nonzero(np.diff(vals) > _UNIFORMIZE_ATOM_TOL)[0]:
         lo, hi = float(g[i]), float(g[i + 1])
         flo, fhi = float(vals[i]), float(vals[i + 1])
         while hi - lo > 1e-9:
@@ -230,7 +229,7 @@ def uniformize(
                 hi, fhi = mid, fmid
             else:
                 lo, flo = mid, fmid
-        if fhi - flo > 0.5 * atom_tol:
+        if fhi - flo > 0.5 * _UNIFORMIZE_ATOM_TOL:
             warnings.warn(
                 f"atomless law required: cdf jumps by {fhi - flo:.3g} near {lo:.6g}",
                 stacklevel=2,

@@ -434,11 +434,12 @@ def parse_market(text: str) -> ScenarioTree:
     lines = content_lines(text)
     if not lines:
         raise ValidationError("empty market file")
-    header = lines[0].split()
     try:
-        horizon = int(header[0].removeprefix("T="))
-        asset_dim = int(header[1].removeprefix("d="))
-    except (IndexError, ValueError) as exc:
+        t, d = lines[0].split()  # exactly T=<int> d=<int>
+        if not (t.startswith("T=") and d.startswith("d=")):
+            raise ValueError
+        horizon, asset_dim = int(t[2:]), int(d[2:])
+    except ValueError as exc:
         raise ValidationError(f"bad market header {lines[0]!r}") from exc
     entries: dict[int, tuple[int, float, tuple[float, ...]]] = {}
     for ln in lines[1:]:

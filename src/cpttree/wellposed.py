@@ -167,8 +167,8 @@ def two_step_uniform_market(n_atoms: int) -> ScenarioTree:
 def heavy_tail_strategy(tree: ScenarioTree, ell: float, cap: float) -> PureStrategy:
     """theta_1 = 0 and theta_2 = min((2/(1-x))^(1/ell), cap) with x the first increment."""
     _check_ell(ell)
-    if not cap > 0.0:  # NaN fails too
-        raise ValidationError("need cap > 0")
+    if not 0.0 < cap < math.inf:  # NaN fails too
+        raise ValidationError("need a finite cap > 0")
     if tree.horizon != 2 or tree.asset_dim != 1:
         raise ValidationError("heavy-tail strategy is defined on two-period single-asset trees")
     alloc: dict[int, tuple[float, ...]] = {0: (0.0,)}

@@ -1,4 +1,5 @@
-"""Shared seeded generators for random markets, preferences and references."""
+"""Shared seeded generators for random markets, preferences and references,
+and a recorder of the multistart lockstep."""
 
 import numpy as np
 import pytest
@@ -98,3 +99,34 @@ def coin_tree() -> ScenarioTree:
     from cpttree import build_iid_market
 
     return build_iid_market([(0.5, 1.0), (0.5, -1.0)], 1)
+
+
+@pytest.fixture
+def lockstep_rounds(monkeypatch):
+    """Records, for every ``optimize._lockstep`` call, its number of starts,
+    and for every lockstep round, the number of polls live in it (read at
+    the round's ``shift`` call); returns the two lists."""
+    from cpttree import optimize
+
+    starts, rounds, live = [], [], [0]
+    run, poll = optimize._lockstep, optimize._poll
+
+    def counted_poll(*args):
+        live[0] += 1
+        try:
+            return (yield from poll(*args))
+        finally:
+            live[0] -= 1
+
+    def recorded_run(values_of, shift, state_of, z0s, *args):
+        starts.append(len(z0s))
+
+        def recorded_shift(*request):
+            rounds.append(live[0])
+            return shift(*request)
+
+        return run(values_of, recorded_shift, state_of, z0s, *args)
+
+    monkeypatch.setattr(optimize, "_poll", counted_poll)
+    monkeypatch.setattr(optimize, "_lockstep", recorded_run)
+    return starts, rounds

@@ -101,17 +101,9 @@ def reference(f, z0, lo=-1.0, hi=1.0, tol=1e-9):
     return sequential_compass(value_of, scalar_shift, z0, z0.copy(), lo, hi, tol)
 
 
-def speculative(f, z0, lo=-1.0, hi=1.0, tol=1e-9):
+def speculative(f, z0, **box):
     """The speculative result and the sizes of the blocks it evaluated."""
-    sizes = []
-
-    def values_of(block):
-        sizes.append(len(block))
-        return np.array([f(row) for row in block])
-
-    return optimize._first_best(
-        optimize._polled(values_of, row_shift, np.copy, [z0], [(lo, hi)], tol)
-    ), sizes
+    return lockstep(f, [z0], **box)
 
 
 def both(f, z0, **box):
@@ -211,7 +203,7 @@ def lockstep(f, z0s, lo=-1.0, hi=1.0, tol=1e-9):
 
     boxes = [(lo, hi)] * len(z0s)
     return optimize._first_best(
-        optimize._polled(values_of, row_shift, np.copy, z0s, boxes, tol)
+        optimize._lockstep(values_of, row_shift, np.copy, z0s, boxes, tol)
     ), sizes
 
 
@@ -326,7 +318,7 @@ def test_lockstep_polls_each_start_in_its_own_box(seed, m, corners):
     def values_of(block):
         return np.array([f(row) for row in block])
 
-    got = optimize._lockstep(values_of, row_shift, z0s, np.stack(z0s), boxes, 1e-9)
+    got = optimize._lockstep(values_of, row_shift, np.copy, z0s, boxes, 1e-9)
     for z0, (lo, hi), result in zip(z0s, boxes, got):
         assert_same(reference(f, z0, lo, hi), result)
 
@@ -334,45 +326,66 @@ def test_lockstep_polls_each_start_in_its_own_box(seed, m, corners):
 def coin_search(monkeypatch, horizon, multistart, budget, pref=None, seed=3, **box):
     """A pure search on the +-1 coin tree with ``budget`` moves per start
     (coin-model preferences unless given); returns its strategy and value,
-    the size in floats of every row-kernel block, and the number of starts
-    in each lockstep group."""
-    blocks, groups = [], []
-    rows, run = optimize._cpt_rows, optimize._lockstep
+    and the size in floats of every row-kernel block."""
+    blocks = []
+    rows = optimize._cpt_rows
 
     def recorded_rows(block, *args):
         blocks.append(block.size)
         return rows(block, *args)
 
-    def recorded_run(values_of, shift, z0s, *args):
-        groups.append(len(z0s))
-        return run(values_of, shift, z0s, *args)
-
     monkeypatch.setattr(optimize, "_EVAL_BUDGET", budget)
     monkeypatch.setattr(optimize, "_cpt_rows", recorded_rows)
-    monkeypatch.setattr(optimize, "_lockstep", recorded_run)
     tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], horizon)
     cfg = SearchConfig(seed=seed, multistart=multistart, max_box_doublings=0, **box)
     found = optimize_pure(tree, pref or coin_model_preferences(), 0.0, ReferenceSpec.zero(tree), cfg)
-    return found, blocks, groups
+    return found, blocks
 
 
-def test_stacked_blocks_stay_within_the_block_cap(monkeypatch):
-    _, blocks, groups = coin_search(monkeypatch, 9, 16, 200)
-    assert groups == [8, 8, 1]  # the zero start and 16 random ones, eight to a group
+def test_stacked_blocks_stay_within_the_block_cap(monkeypatch, lockstep_rounds):
+    _, blocks = coin_search(monkeypatch, 9, 16, 200)
+    starts, rounds = lockstep_rounds
+    assert starts == [17]  # the zero start and 16 random ones
+    assert max(rounds) == 8  # 512 leaves: eight starts fill the cap
     assert max(blocks) <= optimize._BLOCK_FLOATS
-    assert max(blocks) >= 8 * 2 * 512  # every start of a group polled a coordinate in one call
+    assert max(blocks) >= 8 * 2 * 512  # every live start polled a coordinate in one call
 
 
-def test_starts_are_grouped_when_their_blocks_do_not_fit(monkeypatch):
+def test_starts_are_taken_up_when_their_blocks_do_not_fit(monkeypatch, lockstep_rounds):
     # 1024 leaves: a start's smallest block is two rows of 1024 floats, so
-    # four starts fill the cap and the starts run in groups of four
-    (strategy, _), blocks, groups = coin_search(monkeypatch, 10, 10, 30)
-    assert groups == [4, 4, 3]
+    # four starts fill the cap, and each later start waits for a place
+    (strategy, _), blocks = coin_search(monkeypatch, 10, 10, 30)
+    starts, rounds = lockstep_rounds
+    assert starts == [11] and max(rounds) == 4
     assert max(blocks) <= optimize._BLOCK_FLOATS
-    # grouping changes no result: one group of all starts finds the same strategy
+    # the take-up changes no result: all starts live at once find the same strategy
     monkeypatch.setattr(optimize, "_BLOCK_FLOATS", 1 << 20)
-    (alone, _), _, groups = coin_search(monkeypatch, 10, 10, 30)
-    assert groups == [11] and alone == strategy
+    rounds.clear()
+    (alone, _), _ = coin_search(monkeypatch, 10, 10, 30)
+    assert starts == [11, 11] and max(rounds) == 11 and alone == strategy
+
+
+@pytest.mark.parametrize("fit", [1, 2])
+def test_starts_are_taken_up_as_places_free(monkeypatch, lockstep_rounds, fit):
+    # m = 3: a start's smallest block is two rows spanning 16 // 3 = 5
+    # coordinates, 30 floats, so a cap of 30 * fit floats leaves ``fit``
+    # places. The tiny boxes end their polls at the first request, so the
+    # take-up must go on without waiting for a round; the first start is one
+    monkeypatch.setattr(optimize, "_BLOCK_FLOATS", 30 * fit)
+    rng = np.random.default_rng(31)
+    f = kinked_objective(rng, 3)
+    tiny, wide = (-1e-10, 1e-10), (-1.0, 1.0)
+    boxes = [tiny, tiny, wide, tiny, wide, wide, tiny, tiny, wide]
+    z0s = [np.clip(rng.uniform(-1.0, 1.0, 3), lo, hi) for lo, hi in boxes]
+
+    def values_of(block):
+        return np.array([f(row) for row in block])
+
+    got = optimize._lockstep(values_of, row_shift, np.copy, z0s, boxes, 1e-9)
+    for z0, (lo, hi), result in zip(z0s, boxes, got):
+        assert_same(reference(f, z0, lo, hi), result)
+    starts, rounds = lockstep_rounds
+    assert starts == [len(z0s)] and max(rounds) == fit
 
 
 def test_block_cap_changes_no_result_on_a_wide_law(monkeypatch):
@@ -385,7 +398,7 @@ def test_block_cap_changes_no_result_on_a_wide_law(monkeypatch):
     found = []
     for cap in (1 << 11, 1 << 13, 1 << 15):
         monkeypatch.setattr(optimize, "_BLOCK_FLOATS", cap)
-        (strategy, value), blocks, _ = coin_search(
+        (strategy, value), blocks = coin_search(
             monkeypatch, 9, 1, optimize._EVAL_BUDGET, pref, seed=0, box_radius=0.5, tol=0.15
         )
         found.append((strategy, value))
@@ -476,7 +489,7 @@ def test_single_step_coin_search_rows(monkeypatch, polls_after_last_improvement)
     # the frozen T=3 case of tests/test_frozen_search.py: seven coordinates,
     # three starts, each ending one sweep (at most 14 rows) after its last
     # improvement; a second sweep of each final z took it to 142 rows
-    _, blocks, _ = coin_search(
+    _, blocks = coin_search(
         monkeypatch, 3, 2, optimize._EVAL_BUDGET, seed=1, box_radius=1.0, tol=0.3
     )
     polls = polls_after_last_improvement

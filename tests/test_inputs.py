@@ -1,7 +1,8 @@
 """Input rules that several entry points share, with their exact messages:
 finite-law masses (the coin model's position weights among them), blank and comment lines, distortion exponents and the
 two-step position's tail exponent; the envelope and aux-objective constants, positive and finite; custom
-distortions and utilities, finite on their check grids."""
+distortions and utilities, finite on their check grids; the moment certificate's exponent, the heavy-tail
+strategy's cap and the point uniformized, finite."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from cpttree.builders import build_iid_market, emit_pmf, parse_pmf
-from cpttree.choquet import AuxParams, DiscreteRV
+from cpttree.choquet import AuxParams, DiscreteRV, moment_tail_certificate
 from cpttree.errors import ValidationError
 from cpttree.optimize import coin_cpt_value
 from cpttree.preferences import (
@@ -21,7 +22,7 @@ from cpttree.preferences import (
     tk_distortion,
     tversky_kahneman_preferences,
 )
-from cpttree.randtools import FiniteJoint
+from cpttree.randtools import FiniteJoint, uniformize
 from cpttree.tree import PureStrategy, RandomizedStrategy, emit_market, parse_market
 from cpttree.wellposed import (
     heavy_tail_strategy,
@@ -178,3 +179,21 @@ def test_utility_not_finite_on_the_check_grid(side):
     funcs[side] = nan_between(1.0, 10.0, funcs[side])
     make = lambda: UtilityPair(k_plus=1.0, alpha_plus=0.5, k_minus=1.0, alpha_minus=1.0, **funcs)
     assert refusal(make) == f"{side} is not finite on the check grid"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda bad: moment_tail_certificate({2: 4.0}, bad), "delta must be positive and finite"),
+        (lambda bad: heavy_tail_strategy(two_step_uniform_market(4), 1.5, bad),
+         "need a finite cap > 0"),
+        (lambda bad: uniformize(lambda x: 1.0 - math.exp(-x) if x > 0.0 else 0.0, bad),
+         "x must be finite"),
+    ],
+    ids=["moment_tail_certificate", "heavy_tail_strategy", "uniformize"],
+)
+@pytest.mark.parametrize("bad", [NAN, math.inf])
+def test_non_finite_scalars_refused(make, message, bad):
+    # each used to return NaN, say "insufficient moments" or build an
+    # allocation of inf
+    assert refusal(make, bad) == message

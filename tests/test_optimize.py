@@ -83,6 +83,12 @@ class TestLadder:
         for v in res.values[1:]:
             assert abs(v - res.values[0]) < 1e-8
 
+    def test_every_start_is_clipped_into_the_box(self):
+        # 0.25 and the random starts, drawn on [0, 1], lie outside a box of 0.1
+        res = ladder(1, SearchConfig(box_radius=0.1, seed=0, multistart=2))
+        assert all(a <= 0.1 for atoms in res.argmax for a in atoms)
+        assert res.values[0] == coin_cpt_value([0.1]).v
+
     def test_deterministic_given_seed(self):
         assert ladder(2, SearchConfig(seed=6)) == ladder(2, SearchConfig(seed=6))
 

@@ -389,6 +389,12 @@ class TestMarketFormat:
         with pytest.raises(ValidationError, match="header"):
             parse_market("nonsense\n")
 
+    @pytest.mark.parametrize("header", ["2 1", "T=2 d=1 junk", "2 d=1", "T=2 1"])
+    def test_header_is_exactly_t_and_d(self, header):
+        body = emit_market(one_step_coin()).split("\n", 1)[1]
+        with pytest.raises(ValidationError, match="bad market header"):
+            parse_market(f"{header}\n{body}")
+
     def test_ids_must_be_contiguous(self):
         text = "T=1 d=1\nnode 1 parent 0 p 0.5 dS 1\nnode 3 parent 0 p 0.5 dS -1\n"
         with pytest.raises(ValidationError, match="ids"):

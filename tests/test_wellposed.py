@@ -338,31 +338,27 @@ class TestProbeSchedule:
         ref = ReferenceSpec.zero(coin_tree)
         assert_probe_as_radius_by_radius(coin_tree, coin_model_preferences(), 0.0, ref, [0.0], cfg)
 
-    def test_blocks_stay_within_the_block_cap(self, monkeypatch):
+    def test_blocks_stay_within_the_block_cap(self, monkeypatch, lockstep_rounds):
         # 512 leaves: a start's smallest block is two rows of 512 floats, so
         # eight starts fill the cap, whichever radius each belongs to
-        blocks, groups = [], []
-        rows, run = optimize._cpt_rows, optimize._lockstep
+        blocks = []
+        rows = optimize._cpt_rows
 
         def recorded_rows(block, *args):
             blocks.append(block.size)
             return rows(block, *args)
 
-        def recorded_run(values_of, shift, z0s, *args):
-            groups.append(len(z0s))
-            return run(values_of, shift, z0s, *args)
-
         monkeypatch.setattr(optimize, "_EVAL_BUDGET", 100)
         monkeypatch.setattr(optimize, "_cpt_rows", recorded_rows)
-        monkeypatch.setattr(optimize, "_lockstep", recorded_run)
         tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], 9)
         ref = ReferenceSpec.zero(tree)
         cfg = SearchConfig(seed=1, multistart=4)
         boundedness_probe(tree, coin_model_preferences(), 0.0, ref, [0.5, 1.0, 2.0], cfg)
         # the zero start and four random ones at each radius, then the two warm starts
-        assert groups == [8, 7, 1, 1]
+        starts, rounds = lockstep_rounds
+        assert starts == [15, 1, 1] and max(rounds) == 8
         assert max(blocks) <= optimize._BLOCK_FLOATS
-        assert max(blocks) >= 8 * 2 * 512  # every start of a group polled a coordinate in one call
+        assert max(blocks) >= 8 * 2 * 512  # every live start polled a coordinate in one call
 
     def test_fewer_kernel_calls_than_radius_by_radius(self, monkeypatch):
         calls = []
