@@ -59,9 +59,15 @@ class _Law:
     the common probability repeated for every cell of any block (a
     zero-stride view), otherwise the columns in stable probability order
     and the probabilities in that order. A search builds it once; the
-    kernel builds it for a plain array."""
+    kernel builds it for a plain array.
 
-    __slots__ = ("cols", "equal", "repeated", "by_prob", "sorted")
+    An equal law whose common probability p is a power of two, as on coin
+    and binomial trees, also gets ``by_rank``: the survival of the atom at
+    each sorted position i, min((L - i) p, 1). Every sum of copies of p is
+    an exact multiple of p, so the tie masses and their suffix sums that
+    the kernel would add are exactly these, in any order of addition."""
+
+    __slots__ = ("cols", "equal", "repeated", "by_prob", "sorted", "by_rank")
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=float)
@@ -70,6 +76,8 @@ class _Law:
         self.repeated = np.broadcast_to(probs[0], (_MAX_CELLS,)) if self.equal else None
         self.by_prob = None if self.equal else probs.argsort(kind="stable")
         self.sorted = None if self.equal else probs[self.by_prob]
+        dyadic = self.equal and np.frexp(probs[0])[0] == 0.5
+        self.by_rank = np.minimum((probs.size - self.cols) * probs[0], 1.0) if dyadic else None
 
 
 def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> np.ndarray:
@@ -89,7 +97,9 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     One flat ``reduceat`` merges the tie masses, suffix sums are sequential
     cumulative sums of each reversed row, the distortion and the products
     are elementwise, and ``segment_sums`` adds each row's terms as ``np.sum``
-    would.
+    would. A law with ``by_rank`` skips the masses and suffix sums: the
+    survival of a distinct value is the table's entry at the sorted position
+    where it first occurs, which is what they would give, bit for bit.
 
     The probability order, the equal-probability test, the repeated common
     probability and the column positions depend on the law alone and come
@@ -116,20 +126,21 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
     starts = new.ravel().nonzero()[0]
     distinct = v.ravel()[starts]
-    if law.equal:
-        p = law.repeated[: v.size]
-    else:
-        p = law.sorted[order].ravel()
-    mass = np.add.reduceat(p, starts)
     counts = new.sum(axis=1)
     first = counts.cumsum() - counts
-    width = int(counts.max())
-    # rows as the leading cells of a zero-padded block, in row-major order
-    cells = law.cols[:width] < counts[:, None]
-    back = cells[::-1]
-    padded = np.zeros(cells.shape)
-    padded[back] = mass[::-1]
-    survival = np.minimum(padded.cumsum(axis=1)[back][::-1], 1.0)
+    if law.by_rank is not None:
+        # a gather from the table tiled once per row is cheaper than starts % n_cols
+        survival = np.tile(law.by_rank, n_rows)[starts]
+    else:
+        p = law.repeated[: v.size] if law.equal else law.sorted[order].ravel()
+        mass = np.add.reduceat(p, starts)
+        width = int(counts.max())
+        # rows as the leading cells of a zero-padded block, in row-major order
+        cells = law.cols[:width] < counts[:, None]
+        back = cells[::-1]
+        padded = np.zeros(cells.shape)
+        padded[back] = mass[::-1]
+        survival = np.minimum(padded.cumsum(axis=1)[back][::-1], 1.0)
     per_w = n_rows // len(ws)
     cuts = [0, *(int(first[i * per_w]) for i in range(1, len(ws))), starts.size]
     weights = np.empty(starts.size)

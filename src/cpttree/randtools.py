@@ -209,12 +209,21 @@ def uniformize(F: Callable[[float], float], x: float) -> float:
     An apparent jump on the grid, a rise above ``_UNIFORMIZE_ATOM_TOL``, is
     bisected down to width 1e-9; a persisting mass gap means the law has an
     atom, which breaks the uniform-output guarantee, so a warning is emitted.
+    A value of F that is not finite, on the grid, in a bisection or at x, is
+    refused: NaN would pass every range and monotonicity test.
     """
+
+    def cdf(t: float) -> float:
+        value = float(F(t))
+        if not np.isfinite(value):
+            raise ValidationError(f"cdf value at {t:.6g} is not finite")
+        return value
+
     if not -np.inf < x < np.inf:  # NaN fails too
         raise ValidationError("x must be finite")
     span = max(50.0, 2.0 * abs(x))
     g = np.linspace(-span, span, 501)
-    vals = np.array([float(F(t)) for t in g])
+    vals = np.array([cdf(t) for t in g])
     if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
         raise ValidationError("cdf values must lie in [0, 1]")
     if np.any(np.diff(vals) < -1e-12):
@@ -224,7 +233,7 @@ def uniformize(F: Callable[[float], float], x: float) -> float:
         flo, fhi = float(vals[i]), float(vals[i + 1])
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            fmid = float(F(mid))
+            fmid = cdf(mid)
             if fmid - flo > fhi - fmid:
                 hi, fhi = mid, fmid
             else:
@@ -235,7 +244,7 @@ def uniformize(F: Callable[[float], float], x: float) -> float:
                 stacklevel=2,
             )
             break
-    return float(F(x))
+    return cdf(x)
 
 
 def ks_uniform_statistic(samples: Sequence[float]) -> float:

@@ -25,7 +25,7 @@ from cpttree import (
     tail_power_integral,
     terminal_wealth,
 )
-from cpttree.choquet import _choquet_rows, _cpt_rows, cpt_value_from_outcomes
+from cpttree.choquet import _choquet_rows, _cpt_rows, _Law, cpt_value_from_outcomes
 from cpttree.extreal import ext_sub
 from cpttree.optimize import _coin_cpt_rows, _coin_law, coin_cpt_value
 from cpttree.preferences import Distortion, DistortionPair, PreferenceSpec, UtilityPair
@@ -505,3 +505,54 @@ class TestDiscreteRV:
     def test_values_must_be_finite(self):
         with pytest.raises(ValidationError, match="finite"):
             DiscreteRV(((math.inf, 1.0),))
+
+
+class TestRankSurvival:
+    """Equal laws of power-of-two probability read survivals from a rank table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+        st.sampled_from(sorted(DISTORTIONS)),
+        st.sampled_from(["distinct", "rounded", "few values", "zeros"]),
+    )
+    def test_power_of_two_laws_match_the_scalar_kernel_bitwise(self, seed, k, family, ties):
+        n, rows = 2**k, 3
+        probs = np.full(n, 2.0**-k)
+        values = tied_values(np.random.default_rng(seed), n, ties, 2 * rows)
+        w, other = DISTORTIONS[family], DISTORTIONS["tk"]
+        one = [reference_choquet(row, probs, w) for row in values]
+        two = one[:rows] + [reference_choquet(row, probs, other) for row in values[rows:]]
+        # a plain array, and the law a search builds once
+        for law in (probs, _Law(probs)):
+            assert bits(_choquet_rows(values.copy(), law, w)) == bits(one)
+            assert bits(_choquet_rows(values[:1].copy(), law, w)) == bits(one[:1])
+            assert bits(_choquet_rows(values.copy(), law, w, other)) == bits(two)
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_rank_table_for_power_of_two_probabilities(self, k):
+        n = 2**k
+        law = _Law(np.full(n, 2.0**-k))
+        assert law.by_rank is not None
+        assert bits(law.by_rank) == bits((n - np.arange(n)) / n)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full(3, 1.0 / 3.0), np.full(6, 1.0 / 6.0), np.array([0.25, 0.75]),
+         np.array([0.5, 0.25, 0.25]), np.zeros(4), np.zeros(0)],
+        ids=["third", "sixth", "unequal", "unequal-dyadic", "zero", "empty"],
+    )
+    def test_no_rank_table_for_other_laws(self, probs):
+        assert _Law(probs).by_rank is None
+
+    @pytest.mark.parametrize("p", [1.0 / 8.0, 0.5], ids=["sub-unit", "over-unit"])
+    @pytest.mark.parametrize("family", sorted(DISTORTIONS))
+    def test_laws_of_other_mass_match_the_scalar_kernel(self, p, family):
+        # four atoms of mass 1/2 or 2: the over-unit survivals are capped at 1
+        probs, w = np.full(4, p), DISTORTIONS[family]
+        rng = np.random.default_rng(21)
+        for ties in ("distinct", "rounded", "few values", "zeros"):
+            values = tied_values(rng, 4, ties, 5)
+            expected = [reference_choquet(row, probs, w) for row in values]
+            assert bits(_choquet_rows(values.copy(), probs, w)) == bits(expected)

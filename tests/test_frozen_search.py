@@ -16,6 +16,7 @@ from cpttree import (
     boundedness_probe,
     build_iid_market,
     coin_model_preferences,
+    cpt_value,
     PureStrategy,
     ladder,
     optimize_pure,
@@ -89,6 +90,33 @@ def test_pure_coin_single_step_schedule():
         0.023643249400513433, 0.5, -0.21168077456073253, 0.3972988942744877,
         -0.8763370959790291, 0.3466528979451513, 0.1554051876408835,
     )
+
+
+def test_coarse_search_on_the_512_leaf_coin_tree():
+    # loss averse with linear weighting: the zero start is a local optimum at
+    # the single step size and beats the random start; every poll values
+    # blocks of 512-leaf laws of common probability 2^-9
+    tree = build_iid_market(COIN, 9)
+    pref = PreferenceSpec(
+        utility=UtilityPair.power(0.5, 1.0, k=2.25),
+        distortion=DistortionPair(Distortion.identity(), Distortion.identity()),
+    )
+    strat, val = optimize_pure(
+        tree, pref, 0.0, ReferenceSpec.zero(tree),
+        SearchConfig(box_radius=0.5, tol=0.15, multistart=1, seed=0, max_box_doublings=0),
+    )
+    assert (val.v_plus, val.v_minus, val.v) == (0.0, 0.0, 0.0)
+    assert flat(strat) == (0.0,) * 511
+
+
+def test_constant_position_on_the_4096_leaf_coin_tree():
+    tree = build_iid_market(COIN, 12)
+    val = cpt_value(
+        tree, PureStrategy.constant(tree, 0.3), 0.0, ReferenceSpec.zero(tree),
+        coin_model_preferences(),
+    )
+    assert (val.v_plus, val.v_minus) == (0.668124380980681, 0.40605468749999996)
+    assert val.v == 0.2620696934806811
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -300,6 +301,22 @@ class TestUniformize:
         F = lambda x: 0.0 if x < 0 else min(1.0, 0.5 + 0.25 * x)
         with pytest.warns(UserWarning, match="atomless"):
             uniformize(F, 1.0)
+
+    @pytest.mark.parametrize(
+        "F,x",
+        [
+            (lambda t: math.nan, 0.0),
+            (lambda t: math.nan if t > 10.0 else 1.0 / (1.0 + math.exp(-t)), 0.0),
+            # finite on the grid, which steps through 0 by 0.2
+            (lambda t: math.nan if t == 0.3 else 1.0 / (1.0 + math.exp(-t)), 0.3),
+            # finite on the grid, NaN where the bisection of the step at 0 looks
+            (lambda t: math.nan if 0.0 < t < 0.2 else float(t >= 0.2), 1.0),
+        ],
+        ids=["everywhere", "above-10", "off-grid-x", "in-bisection"],
+    )
+    def test_nan_cdf_rejected(self, F, x):
+        with pytest.raises(ValidationError, match="not finite"):
+            uniformize(F, x)
 
     def test_seeded_exponential_sample_passes_ks(self):
         rng = np.random.default_rng(102)
