@@ -259,10 +259,7 @@ def _cmd_ladder(run: _Run, args) -> int:
     result = _lib("ladder")(args.n, cfg)
     csv = "n,M_n\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(result.values))
     run.write("ladder.csv", csv)
-    run.write_json(
-        "ladder.json",
-        {"values": list(result.values), "argmax": [list(a) for a in result.argmax]},
-    )
+    run.write_json("ladder.json", vars(result))  # values, argmax and box_bound
     return 0
 
 
@@ -361,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("randomization-ladder", help="coin-model values over external coins")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=_int_at_least(0), default=0)
-    sp.add_argument("--multistart", type=int, default=4)
+    sp.add_argument("--seed", type=_int_at_least(0), default=0, help="ignored: the ladder is exact")
+    sp.add_argument("--multistart", type=int, default=4, help="ignored: the ladder is exact")
     sp.add_argument("--box", type=_finite_float, default=None)
     _add_common(sp)
     sp.set_defaults(func=_cmd_ladder)

@@ -540,10 +540,11 @@ def _coin_cpt_rows(
 
 @dataclass(frozen=True)
 class LadderResult:
-    """Best values and argmax |theta| atom lists, one level per external coin."""
+    """Values, argmax |theta| atom lists and box binding, one level per external coin."""
 
     values: tuple[float, ...]
     argmax: tuple[tuple[float, ...], ...]
+    box_bound: tuple[bool, ...] = ()
 
     def __post_init__(self) -> None:
         for a, b in zip(self.values, self.values[1:]):
@@ -554,48 +555,49 @@ class LadderResult:
 def ladder(
     n_max: int,
     cfg: SearchConfig | None = None,
-    w_plus: Distortion | Callable = _SQRT_DISTORTION,
+    w_plus: Distortion = _SQRT_DISTORTION,
 ) -> LadderResult:
-    """Maximal coin-model value using 2^k equal-weight external atoms, k <= n_max.
+    """Maximal coin-model value using 2^k equal-weight external atoms, k <= n_max,
+    in closed form.
 
-    Level k searches the nonnegative atom values in [0, radius] directly (the
-    objective depends on the position only through |theta|); level k+1 is
-    seeded with the level-k argmax duplicated, so the ladder is nondecreasing
-    by construction. Every start is clipped into the box: 0.25 and the
-    random starts, drawn on [0, 1], lie outside a box of radius below 1.
+    Level k has m = 2^k atoms a_i. Sorted by y_i = a_i^(1/4), the i-th gain has
+    survival S_i = (m - i + 1)/(2m), so V = sum_i Delta_i y_i - a_i/(2m) with
+    Delta_i = w+(S_i) - w+(S_{i+1}) and S_{m+1} = 0. For a concave w+ the Choquet
+    integral is the largest expectation over the distortion's core, whose extreme
+    points give the atoms the Delta_i in every order (Schmeidler 1986; Denneberg,
+    *Non-Additive Measure and Integral*, 1994). So sup V splits into one concave
+    problem per atom, max over 0 <= y <= r^(1/4) of Delta_i y - y^4/(2m), solved
+    by a_i = min((m Delta_i/2)^(4/3), r), which rises with Delta_i and so with i.
+    ``box_bound[k]`` says whether the box r clips level k's top atom: under the
+    square root that atom is (m/8)^(2/3), so the default r = 8 binds from n = 8
+    on. Without a box the values rise to M_inf = (9/16) 2^(-1/3).
+
+    Each level is valued by the coin kernel at its argmax, so under the square
+    root ``values[k] == coin_cpt_value(argmax[k]).v``. Only a concave w+, a
+    ``Distortion`` of the power (gamma <= 1) or identity family, is taken: a
+    concave-looking callable proves nothing. ``cfg`` supplies only
+    ``box_radius`` (default 8).
     """
     if _count(n_max, "n_max") < 0:
         raise ValidationError("n_max must be >= 0")
     if n_max > 12:
         raise ValidationError("n_max > 12 refused: 2^n atoms per level")
+    if not (isinstance(w_plus, Distortion) and w_plus.family in ("power", "identity")):
+        raise ValidationError("the exact ladder needs a power or identity gain Distortion")
     cfg = cfg or SearchConfig()
     radius = cfg.box_radius if cfg.box_radius is not None else 8.0
-    rng = np.random.default_rng(cfg.seed)
-
-    def shift(base: np.ndarray, js: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-        rows = np.empty((len(js), base.shape[-1]))
-        rows[:] = base
-        rows[np.arange(len(js)), js] += deltas
-        return rows
-
     values: list[float] = []
     argmaxes: list[tuple[float, ...]] = []
-    prev: np.ndarray | None = None
+    bound: list[bool] = []
     for k in range(n_max + 1):
         m = 2**k
-        starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
-        while len(starts) < 1 + cfg.multistart:
-            starts.append(rng.uniform(0.0, 1.0, m))
-        starts = [np.clip(z0, 0.0, radius) for z0 in starts]
-        law = _coin_law(np.full(m, 1.0 / m))
-        best_z, best_v = _first_best(_lockstep(
-            lambda block: _coin_cpt_rows(block, law, w_plus), shift, np.copy, starts,
-            [(0.0, radius)] * len(starts), cfg.tol,
-        ))
-        prev = np.sort(best_z)
-        values.append(best_v)
-        argmaxes.append(tuple(float(b) for b in prev))
-    return LadderResult(values=tuple(values), argmax=tuple(argmaxes))
+        w = w_plus(np.arange(m, -1, -1) / (2.0 * m))  # w+(S_i), i = 1, ..., m + 1
+        free = (m * (w[:-1] - w[1:]) / 2.0) ** (4.0 / 3.0)
+        atoms = np.sort(np.minimum(free, radius))
+        values.append(float(_coin_cpt_rows(atoms[None], _coin_law(np.full(m, 1.0 / m)), w_plus)[0]))
+        argmaxes.append(tuple(atoms.tolist()))
+        bound.append(bool(free.max() > radius))
+    return LadderResult(values=tuple(values), argmax=tuple(argmaxes), box_bound=tuple(bound))
 
 
 @dataclass(frozen=True)

@@ -67,8 +67,8 @@ CASES = {
     "ladder": (
         ["randomization-ladder", "--n", "2", "--seed", "1"],
         {
-            "ladder.csv": "81274ac3a2ab4fd2c73f9003c2f46ca5a252b23008f8ef7c108da8d4df243679",
-            "ladder.json": "b9bcc641d4628c6c5895910b815f55e4325153a4fe8b188c3bc46e4f7b1270d5",
+            "ladder.csv": "9132bacd472363f475b99833c417e2724326f0672ba5215e04f6cbddf5ee3480",
+            "ladder.json": "4d71b2b61fde0930f8a0da2cf2031e26960570de02916d0180184b7b51cdba5c",
         },
     ),
 }

@@ -170,11 +170,11 @@ def test_two_atom_mixture_with_subhedge():
 
 def test_ladder_two_coins():
     res = ladder(2, SearchConfig(seed=3))
-    assert res.values == (0.3750000000000001, 0.3895387222774855, 0.4012263364466108)
+    assert res.values == (0.3750000000000001, 0.38953872227748554, 0.4012263364466108)
     assert res.argmax == (
-        (0.25,),
-        (0.12253469602190858, 0.3968502719263084),
-        (0.1088219721178062, 0.13664269820773012, 0.19451171533190614, 0.6299605209688194),
+        (0.25000000000000006,),
+        (0.12253470004459745, 0.3968502629920499),
+        (0.10882197564336238, 0.13664268484676154, 0.19451171175340165, 0.6299605249474366),
     )
 
 
@@ -182,11 +182,11 @@ def test_ladder_three_coins():
     # level 3 values 8-atom laws, beyond the 4 atoms of ``ladder(2)``
     res = ladder(3, SearchConfig(seed=3))
     assert res.values == (
-        0.3750000000000001, 0.3895387222774855, 0.4012263364466108, 0.41054337056016177
+        0.3750000000000001, 0.38953872227748554, 0.4012263364466108, 0.4105433705601618
     )
     assert res.argmax[3] == (
-        0.1036512889059723, 0.11405484269657207, 0.12754152606525493, 0.145898047843808,
-        0.1727440990599335, 0.21690673009478456, 0.3087681074003227, 0.9999999840120322,
+        0.10365129535926369, 0.11405483130424114, 0.12754152643318473, 0.14589803375031557,
+        0.17274411861353106, 0.21690674166950838, 0.3087680958574851, 1.0,
     )
 
 

@@ -101,6 +101,92 @@ class TestLadder:
             ladder(-1)
 
 
+def compass_ladder(n_max: int, radius: float, seed: int, multistart: int = 4):
+    """Reference for the exact ladder: the seeded compass search it replaced.
+
+    Level k polls its 2^k atoms in [0, radius] from 0.25, the sorted level
+    below duplicated (from level 1 on) and ``multistart`` uniform starts on
+    [0, 1], every start clipped into the box, and keeps the first best.
+    """
+    rng = np.random.default_rng(seed)
+
+    def shift(base, js, deltas):
+        rows = np.empty((len(js), base.shape[-1]))
+        rows[:] = base
+        rows[np.arange(len(js)), js] += deltas
+        return rows
+
+    values, argmaxes, prev = [], [], None
+    for k in range(n_max + 1):
+        m = 2**k
+        starts = [np.full(m, 0.25)] if prev is None else [np.repeat(prev, 2), np.full(m, 0.25)]
+        while len(starts) < 1 + multistart:
+            starts.append(rng.uniform(0.0, 1.0, m))
+        starts = [np.clip(z0, 0.0, radius) for z0 in starts]
+        law = optimize._coin_law(np.full(m, 1.0 / m))
+        z, v = optimize._first_best(optimize._lockstep(
+            lambda block: optimize._coin_cpt_rows(block, law, optimize._SQRT_DISTORTION),
+            shift, np.copy, starts, [(0.0, radius)] * len(starts), 1e-9,
+        ))
+        prev = np.sort(z)
+        values.append(v)
+        argmaxes.append(prev)
+    return values, argmaxes
+
+
+M_INF = (9.0 / 16.0) * 2.0 ** (-1.0 / 3.0)  # the unboxed square-root ladder's limit
+
+
+class TestExactLadder:
+    @pytest.mark.parametrize("box", [0.1, 0.3, 8.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_compass_search(self, seed, box):
+        exact = ladder(4, SearchConfig(box_radius=box, seed=seed))
+        values, argmaxes = compass_ladder(4, box, seed)
+        for k, (v, atoms) in enumerate(zip(values, argmaxes)):
+            assert exact.values[k] >= v - 1e-15
+            assert exact.values[k] == pytest.approx(v, rel=1e-13, abs=0.0)
+            assert np.allclose(exact.argmax[k], atoms, rtol=0.0, atol=1e-6)
+
+    def test_identity_distortion_gives_one_value(self):
+        # Delta_i = 1/(2m) at every level: every atom is (1/4)^(4/3) and
+        # V = (3/8) 4^(-1/3)
+        res = ladder(12, w_plus=Distortion.identity())
+        assert {a for atoms in res.argmax for a in atoms} == {0.25 ** (4.0 / 3.0)}
+        for v in res.values:
+            assert v == pytest.approx(0.375 * 4.0 ** (-1.0 / 3.0), rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("box", [None, 1e6])
+    def test_square_root_values_rise_strictly_below_the_limit(self, box):
+        res = ladder(12, SearchConfig(box_radius=box))
+        assert all(a < b for a, b in zip(res.values, res.values[1:]))
+        assert res.values[-1] < M_INF
+        for v, atoms in zip(res.values, res.argmax):
+            assert coin_cpt_value(atoms).v == v
+        if box is not None:
+            for k, v in enumerate(res.values):
+                assert v == pytest.approx(calculus_ladder_value(k)[0], rel=1e-13, abs=0.0)
+
+    def test_default_box_binds_from_eight_coins(self):
+        res = ladder(12)
+        assert res.values[8] == pytest.approx(0.43478422486540436, rel=0.0, abs=1e-15)
+        assert res.box_bound == (False,) * 8 + (True,) * 5
+        assert all(atoms[-1] == 8.0 for atoms in res.argmax[8:])
+        assert all(atoms[-1] < 8.0 for atoms in res.argmax[:8])
+
+    @pytest.mark.parametrize("box, bound", [(0.1, (True,) * 5), (1e6, (False,) * 5)])
+    def test_box_bound_flags_a_clipped_top_atom(self, box, bound):
+        assert ladder(4, SearchConfig(box_radius=box)).box_bound == bound
+
+    @pytest.mark.parametrize(
+        "w_plus", [Distortion.tk(0.61), Distortion.custom(np.sqrt, 0.5), np.sqrt],
+        ids=["tk", "custom", "callable"],
+    )
+    def test_only_a_power_or_identity_distortion_is_taken(self, w_plus):
+        with pytest.raises(ValidationError, match="power or identity"):
+            ladder(1, w_plus=w_plus)
+
+
 class TestCoinModelValue:
     def test_quarter_position(self):
         assert coin_cpt_value([0.25]).v == pytest.approx(M0, abs=1e-15)
