@@ -65,9 +65,12 @@ class _Law:
     and binomial trees, also gets ``by_rank``: the survival of the atom at
     each sorted position i, min((L - i) p, 1). Every sum of copies of p is
     an exact multiple of p, so the tie masses and their suffix sums that
-    the kernel would add are exactly these, in any order of addition."""
+    the kernel would add are exactly these, in any order of addition.
+    ``tiled`` is ``by_rank`` repeated for the most rows a block has had,
+    the count at least doubled each time it grows, so that a search's
+    blocks gather from it without tiling the table again."""
 
-    __slots__ = ("cols", "equal", "repeated", "by_prob", "sorted", "by_rank")
+    __slots__ = ("cols", "equal", "repeated", "by_prob", "sorted", "by_rank", "tiled")
 
     def __init__(self, probs: np.ndarray):
         probs = np.asarray(probs, dtype=float)
@@ -78,6 +81,7 @@ class _Law:
         self.sorted = None if self.equal else probs[self.by_prob]
         dyadic = self.equal and np.frexp(probs[0])[0] == 0.5
         self.by_rank = np.minimum((probs.size - self.cols) * probs[0], 1.0) if dyadic else None
+        self.tiled = self.by_rank
 
 
 def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> np.ndarray:
@@ -93,27 +97,28 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     columns go in probability order and one stable sort of each row by value
     keeps that order among ties. Reordering within a row never changes its
     value, but it does change the block, so only a caller that owns
-    ``values`` may pass it.
+    ``values`` may pass it. A negative value is refused from the sorted
+    block's first column: NaN sorts last, so a row holds a negative value
+    iff its first cell is one, and a NaN row cannot hide another row's.
     One flat ``reduceat`` merges the tie masses, suffix sums are sequential
     cumulative sums of each reversed row, the distortion and the products
     are elementwise, and ``segment_sums`` adds each row's terms as ``np.sum``
     would. A law with ``by_rank`` skips the masses and suffix sums: the
-    survival of a distinct value is the table's entry at the sorted position
-    where it first occurs, which is what they would give, bit for bit.
+    survival of a distinct value is the entry of the law's tiled table at
+    the flat sorted position where it first occurs, which is what they
+    would give, bit for bit.
 
     The probability order, the equal-probability test, the repeated common
-    probability and the column positions depend on the law alone and come
-    from ``law``, built once per search. Everything handed to a distortion
-    is a contiguous slice: numpy's power can round a strided view
-    differently in the last bit.
+    probability, the tiled rank table and the column positions depend on
+    the law alone and come from ``law``, built once per search. Everything
+    handed to a distortion is a contiguous slice: numpy's power can round a
+    strided view differently in the last bit.
     """
     if not isinstance(law, _Law):
         law = _Law(law)
     n_rows, n_cols = values.shape
     if values.size == 0:
         return np.zeros(n_rows)
-    if np.count_nonzero(values < 0.0):
-        raise ValidationError("choquet_nonneg requires nonnegative atom values")
     if law.equal:
         values.sort(axis=1)
         v = values
@@ -121,19 +126,26 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
         by_prob = values[:, law.by_prob]
         order = by_prob.argsort(axis=1, kind="stable")
         v = by_prob[np.arange(n_rows)[:, None], order]
+    if np.count_nonzero(v[:, 0] < 0.0):
+        raise ValidationError("choquet_nonneg requires nonnegative atom values")
     new = np.empty(v.shape, dtype=bool)
     new[:, 0] = True
     np.not_equal(v[:, 1:], v[:, :-1], out=new[:, 1:])
     starts = new.ravel().nonzero()[0]
     distinct = v.ravel()[starts]
-    counts = new.sum(axis=1)
-    first = counts.cumsum() - counts
     if law.by_rank is not None:
-        # a gather from the table tiled once per row is cheaper than starts % n_cols
-        survival = np.tile(law.by_rank, n_rows)[starts]
+        # every row's first cell starts a run: its position in ``starts``
+        first = starts.searchsorted(np.arange(0, v.size, n_cols))
+        # a gather from the table tiled for every row is cheaper than starts % n_cols
+        tiled = law.tiled
+        if tiled.size < v.size:
+            tiled = law.tiled = np.tile(law.by_rank, max(n_rows, 2 * tiled.size // n_cols))
+        survival = tiled[starts]
     else:
         p = law.repeated[: v.size] if law.equal else law.sorted[order].ravel()
         mass = np.add.reduceat(p, starts)
+        counts = new.sum(axis=1)
+        first = counts.cumsum() - counts
         width = int(counts.max())
         # rows as the leading cells of a zero-padded block, in row-major order
         cells = law.cols[:width] < counts[:, None]
@@ -146,10 +158,11 @@ def _choquet_rows(values: np.ndarray, law: _Law | np.ndarray, *ws: Callable) -> 
     weights = np.empty(starts.size)
     for w, a, b in zip(ws, cuts, cuts[1:]):
         weights[a:b] = w(survival[a:b])
-    prev = np.empty_like(distinct)
-    prev[1:] = distinct[:-1]
-    prev[first] = 0.0
-    return segment_sums((distinct - prev) * weights, first)
+    terms = np.empty_like(distinct)
+    np.subtract(distinct[1:], distinct[:-1], out=terms[1:])
+    terms[first] = distinct[first]
+    terms *= weights
+    return segment_sums(terms, first)
 
 
 def choquet_nonneg(rv: DiscreteRV, w: Callable) -> float:
@@ -297,8 +310,12 @@ def _cpt_sides(
     kernel may sort in place."""
     n_rows = len(outcomes)
     utilities = np.empty((2 * n_rows, outcomes.shape[1]))
-    utilities[:n_rows] = pref.utility.u_plus(np.maximum(outcomes, 0.0))
-    utilities[n_rows:] = pref.utility.u_minus(np.maximum(-outcomes, 0.0))
+    gains, losses = utilities[:n_rows], utilities[n_rows:]
+    np.maximum(outcomes, 0.0, out=gains)
+    np.negative(outcomes, out=losses)
+    np.maximum(losses, 0.0, out=losses)
+    gains[:] = pref.utility.u_plus(gains)
+    losses[:] = pref.utility.u_minus(losses)
     both = _choquet_rows(utilities, law, pref.distortion.plus, pref.distortion.minus)
     return both[:n_rows], both[n_rows:]
 

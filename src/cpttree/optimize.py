@@ -66,11 +66,17 @@ _EVAL_BUDGET = 2_000_000
 _SHRINK = 0.5
 # outcome floats in one block of speculative polls, shared by the starts
 # polled in lockstep. A kernel call's temporaries are up to about 16x its
-# block, so 2**13 floats keep them under 1 MiB: within a core's L2 cache, and
-# small enough for the allocator to reuse its heap once it has grown, where
-# the 4 MiB of a 2**15 block would go back to the OS and be faulted in again
-# on every call. In a fresh process the faults stay, and the smaller working
-# set alone still makes a 512-leaf search about 12% faster.
+# block, so 2**13 floats keep them under 1 MiB, within a core's L2 cache; the
+# smaller working set makes a 512-leaf search about 12% faster than 2**15
+# floats. The size does not keep glibc from giving the temporaries back to
+# the OS at the end of a call, to be faulted in again by the next: that
+# depends on the allocation history of the process (its dynamic mmap and
+# trim thresholds), and varies from process to process. Measured with
+# getrusage (2-core x86-64, numpy 2.4), fresh processes valuing 16-row blocks
+# of a 512-leaf law took 0.2 to 113 minor faults per call with the rank
+# table tiled per call, and 0.1 to 49 with it kept on the law; two runs of
+# `cpttree optimize` on the T=9 coin market (seed 1, one start) took 20.1M
+# and 19.8M minor faults in 139 and 152 s, and 6.7k and 13.2M in 93 and 121 s.
 _BLOCK_FLOATS = 1 << 13
 # outcome floats a start's block spans at least, in whole coordinates: on
 # small laws a kernel call costs about the same for a few rows as for dozens

@@ -272,10 +272,10 @@ def chi2_independence_pass(a: Sequence[float], b: Sequence[float]) -> tuple[bool
         raise ValidationError("need two equal-length nonempty samples")
     qx = np.quantile(x, np.linspace(0, 1, _CHI2_BINS + 1)[1:-1])
     qy = np.quantile(y, np.linspace(0, 1, _CHI2_BINS + 1)[1:-1])
-    ix = np.searchsorted(qx, x, side="right")
-    iy = np.searchsorted(qy, y, side="right")
-    table = np.zeros((_CHI2_BINS, _CHI2_BINS))
-    np.add.at(table, (ix, iy), 1.0)
+    cell = np.searchsorted(qx, x, side="right")
+    cell *= _CHI2_BINS
+    cell += np.searchsorted(qy, y, side="right")
+    table = np.bincount(cell, minlength=_CHI2_BINS**2).reshape(_CHI2_BINS, -1)
     n = x.size
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     if np.any(expected == 0.0):
@@ -303,8 +303,12 @@ def conditional_uniformize(
     probe = 1e-9
     atom_tol = 1e-6
     left_fn = H_left
+    # H(x | w) of each sample, evaluated once and overwritten by its output
+    out = np.fromiter((float(H(x, w)) for x, w in samples), dtype=float, count=len(samples))
     if left_fn is None:
-        has_atoms = any(float(H(x, w)) - float(H(x - probe, w)) > atom_tol for x, w in samples)
+        has_atoms = any(
+            hi - float(H(x - probe, w)) > atom_tol for hi, (x, w) in zip(out, samples)
+        )
         if has_atoms:
             warnings.warn(
                 "conditional law has atoms; applying the randomized-rank extension",
@@ -314,9 +318,8 @@ def conditional_uniformize(
     flagged = left_fn is not None
     if flagged and rng is None:
         raise ValidationError("the randomized-rank extension needs a generator")
-    out = np.empty(len(samples))
     for i, (x, w) in enumerate(samples):
-        hi = float(H(x, w))
+        hi = out[i]
         if flagged:
             lo = float(left_fn(x, w))
             if lo > hi + 1e-12:

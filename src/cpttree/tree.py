@@ -272,7 +272,7 @@ class PureStrategy:
         vec = tuple(float(v) for v in vector)
         if len(vec) != tree.asset_dim:
             raise ValidationError("allocation dimension != asset_dim")
-        return cls({int(i): vec for i in tree.nonterminal_ids})
+        return cls(dict.fromkeys(tree.nonterminal_ids.tolist(), vec))
 
     @classmethod
     def zeros(cls, tree: ScenarioTree) -> "PureStrategy":
@@ -282,9 +282,7 @@ class PureStrategy:
     def from_flat(cls, tree: ScenarioTree, flat: np.ndarray) -> "PureStrategy":
         """Inverse of ``as_flat``: one row of length asset_dim per non-terminal node."""
         mat = np.asarray(flat, dtype=float).reshape(len(tree.nonterminal_ids), tree.asset_dim)
-        return cls(
-            {int(n): tuple(float(x) for x in mat[k]) for k, n in enumerate(tree.nonterminal_ids)}
-        )
+        return cls(dict(zip(tree.nonterminal_ids.tolist(), map(tuple, mat.tolist()))))
 
     def as_matrix(self, tree: ScenarioTree) -> np.ndarray:
         """Allocations stacked in nonterminal-id order; rejects structural

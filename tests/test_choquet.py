@@ -556,3 +556,66 @@ class TestRankSurvival:
             values = tied_values(rng, 4, ties, 5)
             expected = [reference_choquet(row, probs, w) for row in values]
             assert bits(_choquet_rows(values.copy(), probs, w)) == bits(expected)
+
+    @pytest.mark.parametrize(
+        "blocks,held",
+        [((1, 3, 40, 2, 300), [1, 3, 40, 40, 300]), ((2, 3, 5), [2, 4, 8])],
+        ids=["grow-then-shrink", "doubling"],
+    )
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_one_law_serves_blocks_of_every_size(self, k, blocks, held):
+        # the tiled table grows, at least doubling, and then serves smaller blocks
+        n = 2**k
+        probs = np.full(n, 2.0**-k)
+        law, w = _Law(probs), DISTORTIONS["power"]
+        rng = np.random.default_rng(k)
+        ties, rows_held = ("distinct", "rounded", "few values", "zeros"), []
+        for i, rows in enumerate(blocks):
+            values = tied_values(rng, n, ties[i % 4], rows)
+            expected = bits([reference_choquet(row, probs, w) for row in values])
+            assert bits(_choquet_rows(values.copy(), law, w)) == expected
+            assert bits(_choquet_rows(values.copy(), _Law(probs), w)) == expected
+            assert bits(_choquet_rows(values.copy(), probs, w)) == expected
+            rows_held.append(law.tiled.size // n)
+        assert rows_held == held
+        assert bits(law.tiled[:n]) == bits(law.by_rank)
+
+
+class TestSignCheck:
+    """The kernel refuses a negative atom value after sorting, from each
+    row's first cell: NaN sorts last, so it cannot hide a negative value."""
+
+    LAWS = {
+        "equal": np.full(3, 1.0 / 3.0),
+        "unequal": np.array([0.5, 0.3, 0.2]),
+        "dyadic": np.full(4, 0.25),
+    }
+
+    @pytest.mark.parametrize("negative", [-1.0, -math.inf, -5e-324])
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-row-first", "nan-row-last"])
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_nan_row_does_not_hide_a_negative_row(self, name, nan_first, negative):
+        probs = self.LAWS[name]
+        nan_row = np.full(probs.size, math.nan)
+        bad_row = np.linspace(2.0, 0.5, probs.size)
+        bad_row[1] = negative
+        block = np.stack([nan_row, bad_row] if nan_first else [bad_row, nan_row])
+        for law in (probs, _Law(probs)):
+            for ws in ((identity,), (identity, identity)):
+                with pytest.raises(ValidationError, match="nonnegative"):
+                    _choquet_rows(block.copy(), law, *ws)
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_nan_block_is_not_refused(self, name):
+        probs = self.LAWS[name]
+        block = np.full((2, probs.size), math.nan)
+        block[1, 0] = 1.0
+        for law in (probs, _Law(probs)):
+            out = _choquet_rows(block.copy(), law, identity)
+            assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_negative_zero_is_not_refused(self, name):
+        probs = self.LAWS[name]
+        block = np.full((1, probs.size), -0.0)
+        assert bits(_choquet_rows(block, probs, identity)) == bits([0.0])

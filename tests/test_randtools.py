@@ -390,6 +390,36 @@ class TestConditionalUniformize:
         ok, stat, crit = ks_uniform_pass(u)
         assert ok, (stat, crit)
 
+    def test_cdf_is_evaluated_once_per_sample_and_probe(self):
+        samples, _ = self.shifted_exponential_samples(n=300)
+        calls = []
+
+        def H(x, w_):
+            calls.append(x)
+            return 1.0 - np.exp(-(x - w_))
+
+        u, flagged = conditional_uniformize(samples, H)
+        # H(x | w) once per sample, and once just below x for the atom probe
+        assert not flagged and len(calls) == 2 * len(samples)
+        assert u.tobytes() == np.array([1.0 - np.exp(-(x - w_)) for x, w_ in samples]).tobytes()
+        calls.clear()
+        conditional_uniformize(samples, H, H_left=lambda x, w_: 0.0, rng=np.random.default_rng(0))
+        assert len(calls) == len(samples)
+
+
+def test_chi2_table_matches_the_scattered_float_counts():
+    rng = np.random.default_rng(108)
+    for n in (16, 1_000, 100_000):
+        a, b = rng.random(n), rng.normal(size=n)
+        # the table the scattered add built, reference for the integer counts
+        qx = np.quantile(a, np.linspace(0, 1, 5)[1:-1])
+        qy = np.quantile(b, np.linspace(0, 1, 5)[1:-1])
+        table = np.zeros((4, 4))
+        np.add.at(table, (np.searchsorted(qx, a, "right"), np.searchsorted(qy, b, "right")), 1.0)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+        stat = float(np.sum((table - expected) ** 2 / expected))
+        assert chi2_independence_pass(a, b)[1:] == (stat, randtools.CHI2_CRITICAL_001_DF9)
+
 
 class TestSelfTest:
     def test_negative_seed_is_a_validation_error(self):

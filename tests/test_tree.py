@@ -306,6 +306,49 @@ class TestRandomizedStrategy:
         assert sum(w for w, _ in rs.atoms) == 1.0
 
 
+def interleaved_tree(d):
+    """Ids topological but not level by level, with d assets."""
+    incs = [(0.0,), (1.0,), (-1.0,), (0.5,), (1.5,), (-2.0,), (-0.5,)]
+    return ScenarioTree(
+        horizon=2,
+        asset_dim=d,
+        parent=(-1, 0, 0, 2, 1, 2, 1),
+        prob=(1.0, 0.5, 0.5, 0.25, 0.5, 0.75, 0.5),
+        increments=tuple(tuple(x * (c + 1) for c in range(d) for x in inc) for inc in incs),
+    )
+
+
+class TestStrategyConversions:
+    """``from_flat`` and ``constant`` build the dicts the per-node
+    comprehensions built, in the same key order, which artifacts keep."""
+
+    TREES = {
+        "coin12": lambda: build_iid_market([(0.5, 1.0), (0.5, -1.0)], 12),
+        "interleaved-d1": lambda: interleaved_tree(1),
+        "interleaved-d3": lambda: interleaved_tree(3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_from_flat_and_constant_match_the_comprehensions(self, name):
+        tree = self.TREES[name]()
+        ids, d = tree.nonterminal_ids, tree.asset_dim
+        flat = np.random.default_rng(3).normal(size=len(ids) * d)
+        flat[::7] = -0.0
+        mat = flat.reshape(len(ids), d)
+        old_flat = {int(n): tuple(float(x) for x in mat[k]) for k, n in enumerate(ids)}
+        vec = tuple(float(v) for v in flat[:d])
+        cases = [
+            (PureStrategy.from_flat(tree, flat), old_flat),
+            (PureStrategy.constant(tree, vec), {int(i): vec for i in ids}),
+            (PureStrategy.constant(tree, -0.0), {int(i): (-0.0,) * d for i in ids}),
+            (PureStrategy.zeros(tree), {int(i): (0.0,) * d for i in ids}),
+        ]
+        for new, old in cases:
+            # repr tells the key order, -0.0 from 0.0 and Python from numpy scalars
+            assert repr(list(new.allocations.items())) == repr(list(old.items()))
+        assert PureStrategy.from_flat(tree, flat).as_flat(tree).tobytes() == flat.tobytes()
+
+
 class TestReference:
     def test_zero_reference_is_subhedged(self):
         tree = two_step_coin()
