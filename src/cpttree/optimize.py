@@ -395,11 +395,20 @@ def _probe_search(
 
     The starts that depend on no other radius, the zero, -phi and random
     offsets of every radius, are polled together, each in its own box, taken
-    up in order by one ``_lockstep``. Then the warm starts run as a chain of
-    lone polls, each from the strategy of the radius before, rebuilt as
-    ``subhedge + (theta - subhedge)``; a warm start that duplicates a fixed
+    up in order by one ``_lockstep``. The warm start of a radius is the
+    strategy of the radius before, rebuilt as ``subhedge + (theta -
+    subhedge)`` and clipped to the box; a warm start that duplicates a fixed
     one is dropped, as in ``optimize_pure``. The first best in that search's
-    start order wins: zero, -phi, warm, then the random starts. A poll's
+    start order wins: zero, -phi, warm, then the random starts.
+
+    The warm starts are guessed, so that they too share one ``_lockstep``:
+    the guess of a radius is built as its warm start is, from the first best
+    of the radius before among its independent starts, which is that
+    radius's strategy unless its own warm start won. Then the radii are
+    walked in order: a guess equal to the warm start bit for bit keeps its
+    result, and any other warm start is polled alone. If the guess lockstep
+    raises, its results are dropped and every warm start is polled alone,
+    so the probe raises where the chain of warm starts does. A poll's
     trajectory does not depend on the polls it shares its blocks with, so
     every strategy is bitwise the one of the radius-by-radius search.
     """
@@ -411,16 +420,38 @@ def _probe_search(
     counts = [len(fixed) + cfg.multistart for fixed, _ in starts]
     rs = [r for r, n in zip(boxed, counts) for _ in range(n)]
     polled = iter(search.polls(chain.from_iterable(chain(*s) for s in starts), rs))
+    independent = [[next(polled) for _ in range(n)] for n in counts]
     found: list[PureStrategy] = []
     if len(boxed) < len(radii):
         # the box of radius 0 is the single point theta = subhedge
         found.append(ref.subhedge)
-    for r, (fixed, _), n in zip(boxed, starts, counts):
-        results = [next(polled) for _ in range(n)]
-        if found:
-            warm = np.clip(found[-1].as_flat(tree) - phi, -r, r)
-            if not any(np.array_equal(warm, z0) for z0 in fixed):
-                results[len(fixed) : len(fixed)] = search.polls([warm], [r])
+
+    def warm_start(before: PureStrategy | None, k: int) -> np.ndarray | None:
+        """The warm start of radius boxed[k] from the strategy ``before``,
+        or None where there is none or it duplicates a fixed start."""
+        if before is None:
+            return None
+        warm = np.clip(before.as_flat(tree) - phi, -boxed[k], boxed[k])
+        return None if any(np.array_equal(warm, z0) for z0 in starts[k][0]) else warm
+
+    # the strategy of the radius before each radius, unless the warm start
+    # of that radius wins there
+    befores = [found[-1] if found else None]
+    befores += [search.atoms(_first_best(res)[0])[0] for res in independent[:-1]]
+    guesses = {k: z for k, before in enumerate(befores[: len(boxed)])
+               if (z := warm_start(before, k)) is not None}
+    try:
+        guessed = dict(zip(guesses, search.polls(guesses.values(), [boxed[k] for k in guesses])))
+    except Exception:  # a wrong guess may fail where no warm start does; the walk redoes them
+        guessed = {}
+    for k, (fixed, _) in enumerate(starts):
+        results = independent[k]
+        warm = warm_start(found[-1] if found else None, k)
+        if warm is not None:
+            if k in guessed and guesses[k].tobytes() == warm.tobytes():
+                results.insert(len(fixed), guessed[k])
+            else:
+                results[len(fixed) : len(fixed)] = search.polls([warm], [boxed[k]])
         found += search.atoms(_first_best(results)[0])
     return found
 

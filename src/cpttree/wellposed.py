@@ -13,14 +13,17 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .builders import build_market_from_level_pmfs, coin_pmf, uniform_quantile_pmf
-from .choquet import cpt_value, tail_power_integral
+from .choquet import CPTValue, _cpt_sides, _leaf_outcomes, tail_power_integral
+from .choquet import cpt_value  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .errors import ValidationError
 from .extreal import POS_INF, ExtReal, ext_json, ext_sub, is_finite, is_inf
 from .optimize import SearchConfig, _probe_search
 from .optimize import optimize_pure  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .preferences import PreferenceSpec, check_conditions
-from .tree import PureStrategy, ReferenceSpec, ScenarioTree
+from .tree import PureStrategy, ReferenceSpec, ScenarioTree, finite_capital
 
 VERDICT_ILL_POSED = "ill-posed"
 VERDICT_WELL_POSED_INSTANCE = "well-posed-instance"
@@ -219,19 +222,27 @@ def boundedness_probe(
     re-evaluation rounding: each point re-evaluates a strategy rebuilt as
     ``subhedge + (theta - subhedge)``, which can sit an ulp below the
     previous point. The searches share one set-up: the independent starts
-    of every radius, zero, -phi and the random ones, are polled together,
-    then the warm starts run as a chain, radius by radius. The points are
-    those of one ``optimize_pure`` call per radius, bitwise.
+    of every radius, zero, -phi and the random ones, are polled together;
+    then the warm starts, each guessed from the independent starts of the
+    radius before, are polled together, and the radii are walked in order,
+    a guess that differs from the true warm start by a bit giving way to a
+    lone poll of the true one. The points are those of one
+    ``optimize_pure`` call per radius, bitwise: all of them are valued by
+    one kernel call on the stacked strategies, whose rows do not depend on
+    the block they share, and each is refused on overflow as ``cpt_value``
+    refuses it.
     """
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")
-    radii = [float(r) for r in box_radii]
+    radii = _probe_radii(box_radii)
     increasing = all(a < b for a, b in zip(radii, radii[1:]))  # NaN fails too
     if not (radii and increasing and all(0.0 <= r < math.inf for r in radii)):
         raise ValidationError("box_radii must be increasing, finite and nonnegative")
     strategies = _probe_search(tree, pref, x0, ref, radii, cfg or SearchConfig())
-    points = [(r, float(cpt_value(tree, s, x0, ref, pref).v)) for r, s in zip(radii, strategies)]
-    vals = [v for _, v in points]
+    thetas = np.stack([s.as_matrix(tree) for s in strategies])
+    outcomes = _leaf_outcomes(tree, thetas, finite_capital(x0), ref.benchmark_array(tree))
+    sides = zip(*_cpt_sides(outcomes, tree.leaf_prob, pref))
+    vals = [float(CPTValue.from_parts(float(p), float(m)).v) for p, m in sides]
     plateau = False
     if len(vals) >= 4:
         rels = [
@@ -239,4 +250,21 @@ def boundedness_probe(
             for i in range(len(vals) - 3, len(vals))
         ]
         plateau = all(r < _PLATEAU_REL_TOL for r in rels)
-    return ProbeResult(points=tuple(points), plateau=plateau, plateau_rel_tol=_PLATEAU_REL_TOL)
+    return ProbeResult(
+        points=tuple(zip(radii, vals)), plateau=plateau, plateau_rel_tol=_PLATEAU_REL_TOL
+    )
+
+
+def _probe_radii(box_radii: Sequence[float]) -> list[float]:
+    """The probe radii as floats. A string is refused, whose characters
+    would be probed as radii, and so are a scalar, ``None``, a nested
+    sequence and an entry that is not a number."""
+    try:
+        entries = None if isinstance(box_radii, (str, bytes)) else list(box_radii)
+        if entries is not None and not any(
+            isinstance(r, (str, bytes)) or np.ndim(r) for r in entries
+        ):
+            return [float(r) for r in entries]
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError("box_radii must be a flat sequence of numbers")

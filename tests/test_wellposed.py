@@ -8,6 +8,7 @@ from cpttree import (
     POS_INF,
     PureStrategy,
     ReferenceSpec,
+    ScenarioTree,
     SearchConfig,
     ValidationError,
     boundedness_probe,
@@ -265,6 +266,29 @@ class TestBoundednessProbe:
                 coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), radii
             )
 
+    @pytest.mark.parametrize(
+        "radii",
+        ["12", b"12", 2.0, None, np.array([[1.0, 2.0], [4.0, 8.0]]), [[1.0], [2.0]],
+         [1.0, "a"], [1.0, "2"], [1.0, None], iter([1.0, object()])],
+        ids=["str", "bytes", "scalar", "None", "2-D array", "nested list", "letter entry",
+             "digit entry", "None entry", "object entry"],
+    )
+    def test_radii_must_be_a_flat_sequence_of_numbers(self, coin_tree, radii):
+        # a string was probed digit by digit, at radii 1 and 2
+        with pytest.raises(ValidationError, match="flat sequence of numbers"):
+            boundedness_probe(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), radii
+            )
+
+    @pytest.mark.parametrize(
+        "radii", [np.array([1.0, 2.0]), (1, 2), iter([1.0, 2.0])], ids=["array", "ints", "iterator"]
+    )
+    def test_radii_as_any_flat_iterable_of_numbers(self, coin_tree, radii):
+        ref = ReferenceSpec.zero(coin_tree)
+        cfg = SearchConfig(seed=0, multistart=1)
+        res = boundedness_probe(coin_tree, coin_model_preferences(), 0.0, ref, radii, cfg)
+        assert [r for r, _ in res.points] == [1.0, 2.0]
+
 
 # --- the probe's schedule against one search per radius ----------------------
 
@@ -287,6 +311,10 @@ def radius_by_radius(tree, pref, x0, ref, radii, cfg):
 
 def assert_probe_as_radius_by_radius(tree, pref, x0, ref, radii, cfg):
     strategies, points = radius_by_radius(tree, pref, x0, ref, radii, cfg)
+    assert_probe_gives(strategies, points, tree, pref, x0, ref, radii, cfg)
+
+
+def assert_probe_gives(strategies, points, tree, pref, x0, ref, radii, cfg):
     found = optimize._probe_search(tree, pref, x0, ref, radii, cfg)
     # bitwise, the sign of zero included
     assert [s.as_flat(tree).tobytes() for s in found] == [
@@ -307,10 +335,48 @@ def trinomial_probe_instance():
     return tree, pref, 0.3, ReferenceSpec(benchmark=bench, subhedge=phi, floor=floor)
 
 
+def warm_winning_probe_instance():
+    """A one-step trinomial instance whose warm start wins the search at
+    every radius from 2 on, when searched with seed 310 and one random start
+    over the radii 1, 2, 4, ..., 64; so each guess from 4 on is wrong."""
+    incs = [0.0, 1.3673928612793134, -0.8695689512344535, -1.3018441449449507]
+    tree = ScenarioTree(
+        horizon=1,
+        asset_dim=1,
+        parent=(-1, 0, 0, 0),
+        prob=(1.0, 0.18368904440526349, 0.27928746716627595, 0.5370234884284606),
+        increments=tuple((x,) for x in incs),
+    )
+    pref = power_pref(0.25746586546022654, 0.9093632466246441, 0.9119546230826467,
+                      0.611948590960926, k=2.767852172697565)
+    bench = {1: 0.11954188972509583, 2: -1.1435530402111018, 3: -1.066811046619954}
+    ref = ReferenceSpec(benchmark=bench, subhedge=PureStrategy({0: (0.43913973824905406,)}),
+                        floor=-0.9118079827767975)
+    return tree, pref, 0.7161232606441028, ref
+
+
+def record_winners(monkeypatch):
+    """Records the index of the start that wins each ``_first_best`` call."""
+    winners = []
+    first_best = optimize._first_best
+
+    def recorded(results):
+        best = first_best(results)
+        winners.append(next(i for i, res in enumerate(results) if res is best))
+        return best
+
+    monkeypatch.setattr(optimize, "_first_best", recorded)
+    return winners
+
+
+SEVEN_RADII = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+
+
 class TestProbeSchedule:
     """``boundedness_probe`` polls the independent starts of every radius
-    together and then runs the warm-start chain; every point and strategy
-    is bitwise that of one ``optimize_pure`` per radius."""
+    together, then the guessed warm starts together, and polls alone each
+    warm start its guess missed; every point and strategy is bitwise that
+    of one ``optimize_pure`` per radius."""
 
     @pytest.mark.parametrize("multistart", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
@@ -354,9 +420,11 @@ class TestProbeSchedule:
         ref = ReferenceSpec.zero(tree)
         cfg = SearchConfig(seed=1, multistart=4)
         boundedness_probe(tree, coin_model_preferences(), 0.0, ref, [0.5, 1.0, 2.0], cfg)
-        # the zero start and four random ones at each radius, then the two warm starts
+        # the zero start and four random ones at each radius, then the two
+        # guessed warm starts; the warm start at 1.0 wins, so the guess at 2.0
+        # is wrong and its true warm start runs alone
         starts, rounds = lockstep_rounds
-        assert starts == [15, 1, 1] and max(rounds) == 8
+        assert starts == [15, 2, 1] and max(rounds) == 8
         assert max(blocks) <= optimize._BLOCK_FLOATS
         assert max(blocks) >= 8 * 2 * 512  # every live start polled a coordinate in one call
 
@@ -377,3 +445,50 @@ class TestProbeSchedule:
             probe(tree, pref, x0, ref, radii, cfg)
         separate, together = calls
         assert together < separate
+
+    def test_warm_start_winning_in_a_row_makes_the_guesses_fail(
+        self, monkeypatch, lockstep_rounds
+    ):
+        tree, pref, x0, ref = warm_winning_probe_instance()
+        cfg = SearchConfig(seed=310, multistart=1)
+        winners = record_winners(monkeypatch)
+        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
+        # zero, -phi, (warm,) random: the random start wins at radius 1, which
+        # has no warm start, and the warm start at every radius after it
+        assert winners == [2] * 7
+        starts, _ = lockstep_rounds
+        starts.clear()
+        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
+        # per probe: three starts a radius, six guesses, then the warm starts
+        # from radius 4 on alone, their guesses having missed
+        assert starts == 2 * [21, 6, 1, 1, 1, 1, 1]
+
+    def test_warm_start_never_winning_keeps_every_guess(self, monkeypatch, lockstep_rounds):
+        tree, pref, x0, ref = trinomial_probe_instance()
+        cfg = SearchConfig(seed=1, multistart=1)
+        winners = record_winners(monkeypatch)
+        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
+        assert winners == [0] * 7
+        starts, _ = lockstep_rounds
+        starts.clear()
+        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
+        assert starts == 2 * [21, 6]
+
+    def test_a_failing_guess_lockstep_falls_back_to_the_chain(
+        self, monkeypatch, lockstep_rounds
+    ):
+        tree, pref, x0, ref = trinomial_probe_instance()
+        cfg = SearchConfig(seed=1, multistart=1)
+        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
+        starts, _ = lockstep_rounds
+        starts.clear()
+        run = optimize._lockstep
+
+        def failing_guesses(*args):
+            if len(args[3]) == 6:  # the six guesses
+                raise RuntimeError("non-finite objective value during search")
+            return run(*args)
+
+        monkeypatch.setattr(optimize, "_lockstep", failing_guesses)
+        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
+        assert starts == 2 * [21, 1, 1, 1, 1, 1, 1]
