@@ -34,7 +34,7 @@ _LIBRARY = (
     "optimize_pure", "optimize_randomized", "DistortionPair", "Distortion", "PreferenceSpec",
     "UtilityPair", "check_conditions", "coin_model_preferences", "parse_preferences",
     "SELF_TEST_SEED", "toolkit_self_test", "PureStrategy", "ReferenceSpec", "parse_market",
-    "illposed_demo",
+    "illposed_demo", "boundedness_probe",
 )
 
 
@@ -254,6 +254,17 @@ def _cmd_optimize(run: _Run, args) -> int:
     return 0
 
 
+def _cmd_probe(run: _Run, args) -> int:
+    tree = _lib("parse_market")(run.read_input(args.market))
+    pref = _load_preferences(run, args.pref, args.set)
+    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
+    cfg = _lib("SearchConfig")(multistart=args.multistart, seed=args.seed)
+    radii = _parse_floats(args.radii, "--radii")
+    result = _lib("boundedness_probe")(tree, pref, args.x0, ref, radii, cfg)
+    run.write_json("probe.json", result.to_json_dict())
+    return 0
+
+
 def _cmd_ladder(run: _Run, args) -> int:
     cfg = _lib("SearchConfig")(box_radius=args.box, multistart=args.multistart, seed=args.seed)
     result = _lib("ladder")(args.n, cfg)
@@ -355,6 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--atoms", type=_int_at_least(1), default=1)
     _add_common(sp)
     sp.set_defaults(func=_cmd_optimize)
+
+    sp = sub.add_parser("probe", help="best values found under growing search boxes")
+    sp.add_argument("--market", required=True)
+    sp.add_argument("--pref", default=None)
+    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    sp.add_argument("--x0", type=_finite_float, default=0.0)
+    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
+    sp.add_argument("--radii", default="1,2,4,8,16,32,64", help="increasing box radii")
+    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--multistart", type=_int_at_least(1), default=4)
+    _add_common(sp)
+    sp.set_defaults(func=_cmd_probe)
 
     sp = sub.add_parser("randomization-ladder", help="coin-model values over external coins")
     sp.add_argument("--n", type=int, required=True)

@@ -13,7 +13,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _poll(
     tol: float,
     row_cap: Callable[[], int],
     span: int,
-) -> Generator[tuple, tuple, tuple[np.ndarray, float]]:
+) -> Generator[tuple, tuple, tuple[np.ndarray, float, _Trail]]:
     """Coordinate poll in [lo, hi]^m with opportunistic acceptance and step shrinking.
 
     ``state`` is whatever cached transform of z the objective consumes and
@@ -124,12 +124,16 @@ def _poll(
     an improver and halves, down to ``span``, after an acceptance; it never
     crosses the end of a cycle and never holds more than ``row_cap()``
     moves, the cap being read as each block is planned.
+
+    The poll returns ``(z, best, trail)``, the trail recording, at
+    acceptances only, what ``_same_poll`` reads of it.
     """
     z = z0.tolist()  # Python floats plan faster than numpy scalars, to the same bits
     best = _finite(best)
     m = len(z)
-    step0 = (hi - lo) / 4.0
+    step0 = _first_step(lo, hi)
     evals = 0
+    widest, reach = 0.0, max(map(abs, z), default=0.0)
     width = span
     stop = tol
     for _ in range(50):
@@ -169,6 +173,10 @@ def _poll(
             best = _finite(float(vals[i]))
             step, jj, nc = moves[i]
             z[jj] = nc
+            if step > widest:
+                widest = step
+            if abs(nc) > reach:
+                reach = abs(nc)
             state = block[i].copy()
             evals += i + 1
             j, fails = (jj + 1) % m, 0
@@ -177,7 +185,22 @@ def _poll(
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
         stop = accepted
-    return np.array(z), best
+    return np.array(z), best, _Trail(widest, reach, evals >= _EVAL_BUDGET)
+
+
+class _Trail(NamedTuple):
+    """What a poll leaves beside its ``(z, best)``: its largest accepted
+    step (0 if it accepted none), the largest |coordinate| of its start and
+    of the points it accepted, and whether ``_EVAL_BUDGET`` ran out."""
+
+    widest: float
+    reach: float
+    spent: bool
+
+
+def _first_step(lo: float, hi: float) -> float:
+    """The first step of the poll in [lo, hi]^m."""
+    return (hi - lo) / 4.0
 
 
 def _finite(v: float) -> float:
@@ -193,10 +216,12 @@ def _lockstep(
     z0s: Sequence[np.ndarray],
     boxes: Sequence[tuple[float, float]],
     tol: float,
+    trails: list | None = None,
 ) -> list[tuple[np.ndarray, float]]:
     """``(z, best)`` of the poll from each start z0s[k] in its box [lo, hi]^m,
     ``(lo, hi) = boxes[k]``, in start order, ``state_of(z0)`` giving a
-    start's state.
+    start's state. The polls' trails are appended to ``trails``, if given,
+    in start order.
 
     At most ``fit`` polls are live: as many as fit ``_BLOCK_FLOATS`` with
     their smallest blocks stacked, for states of the size L of the first
@@ -224,13 +249,15 @@ def _lockstep(
         return max(2 * span, _BLOCK_FLOATS // (size * len(polls)))
 
     results: list = [None] * len(z0s)
+    trail_of: list = [None] * len(z0s)
     requests: dict = {}
 
     def answer(k: int, reply) -> None:
         try:
             requests[k] = polls[k].send(reply)
         except StopIteration as done:
-            results[k] = done.value
+            z, best, trail_of[k] = done.value
+            results[k] = z, best
             del polls[k]
 
     taken = 0
@@ -244,6 +271,8 @@ def _lockstep(
             for k in ks:
                 answer(k, None)
         if not requests:
+            if trails is not None:
+                trails += trail_of
             return results
         ks = list(requests)
         bases, jss, deltass = zip(*requests.values())
@@ -307,12 +336,13 @@ class _OffsetSearch:
         self._tol = tol
 
     def polls(
-        self, z0s: Iterable[np.ndarray], radii: Sequence[float]
+        self, z0s: Iterable[np.ndarray], radii: Sequence[float], trails: list | None = None
     ) -> list[tuple[np.ndarray, float]]:
         """``(z, best)`` of the search from each start z0s[k] in the box
-        ||z||_inf <= radii[k]. A box of a radius new to this search is
-        refused, if it can leave the double range, before any start is taken
-        from ``z0s``: a lazily drawn start is never drawn for a refused box."""
+        ||z||_inf <= radii[k], the polls' trails appended to ``trails`` if
+        given. A box of a radius new to this search is refused, if it can
+        leave the double range, before any start is taken from ``z0s``: a
+        lazily drawn start is never drawn for a refused box."""
         for r in radii:
             if r not in self._checked:
                 _check_box(r, self._centre, self._reach)
@@ -321,7 +351,9 @@ class _OffsetSearch:
         if not z0s:
             return []
         boxes = [(-r, r) for r in radii]
-        return _lockstep(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
+        return _lockstep(
+            self._values_of, self._shift, self._state_of, z0s, boxes, self._tol, trails
+        )
 
     def best(self, z0s: Sequence[np.ndarray], radius: float) -> np.ndarray:
         """The first best offset of the search from the starts z0s in the
@@ -380,6 +412,94 @@ def _pure_search(
     return strategy, radius
 
 
+def _halves_to(top: float, radius: float) -> bool:
+    """Whether the step schedule of the poll in the box of radius ``top``
+    passes through the first step in the box of ``radius``: with the
+    shrink 1/2, whether ``top / radius`` is a power of two to the bit."""
+    step, first = _first_step(-top, top), _first_step(-radius, radius)
+    while step > first:
+        step *= _SHRINK
+    return step == first
+
+
+def _ladder_tops(boxed: Sequence[float], fixed: Sequence[Sequence[np.ndarray]]) -> dict:
+    """``{(k, i): (t, j)}``: fixed[t][j] is the start that fixed start i of
+    radius boxed[k] is read off, the one of the largest radius boxed[t] with
+    the same bytes whose schedule ``_halves_to`` boxed[k]'s; (k, i) itself
+    where there is none. Equal bytes and exact halvings both carry over from
+    radius to radius, so every top is its own top."""
+    tops = {}
+    for k, starts in enumerate(fixed):
+        for i, z0 in enumerate(starts):
+            key = z0.tobytes()
+            tops[k, i] = next(
+                ((t, j) for t in range(len(boxed) - 1, k, -1)
+                 for j, z in enumerate(fixed[t])
+                 if z.tobytes() == key and _halves_to(boxed[t], boxed[k])),
+                (k, i),
+            )
+    return tops
+
+
+def _same_poll(trail: _Trail, radius: float) -> bool:
+    """Whether the poll of a start in the box of ``radius`` returns, bit for
+    bit, the ``(z, best)`` of the poll of the same start that left ``trail``
+    in a wider box whose schedule ``_halves_to`` this one's.
+
+    The wider poll reaches this box's first step s by exact shrinks. If it
+    accepted no step above s, every step above s failed from each cycle's
+    start point, so at s it stands where this poll starts each cycle: same
+    point, best, coordinate and stop. From there every candidate lies within
+    ``trail.reach + s`` of zero, as every point it moves from is the start or
+    an accepted one; if that sum, as a float, is at most ``radius``, no
+    candidate is clipped in either box, and the two polls value the same rows
+    in the same order. The extra failed moves only spend the wider poll's
+    budget: if it did not run out, neither does this one."""
+    first = _first_step(-radius, radius)
+    return not trail.spent and trail.widest <= first and trail.reach + first <= radius
+
+
+def _independent_polls(
+    search: _OffsetSearch,
+    boxed: Sequence[float],
+    starts: Sequence[tuple[list[np.ndarray], Iterator[np.ndarray]]],
+    multistart: int,
+) -> tuple[list[list], dict]:
+    """The results of the independent starts of each radius boxed[k], its
+    fixed starts and then its ``multistart`` random ones, ``starts[k]``,
+    and the fixed starts left pending, ``{(k, i): z0}``, whose result is
+    None. Each fixed start is polled at the top of its ladder
+    (``_ladder_tops``), with the random starts, in one ``_lockstep``; a fixed
+    start below the top reads its result off the top's poll where
+    ``_same_poll`` holds, and is left pending elsewhere."""
+    fixed = [f for f, _ in starts]
+    tops = _ladder_tops(boxed, fixed)
+    own = [[i for i in range(len(f)) if tops[k, i] == (k, i)] for k, f in enumerate(fixed)]
+    z0s = chain.from_iterable(
+        chain((fixed[k][i] for i in own[k]), randoms) for k, (_, randoms) in enumerate(starts)
+    )
+    rs = [r for r, ks in zip(boxed, own) for _ in range(len(ks) + multistart)]
+    trails: list[_Trail] = []
+    polled = zip(search.polls(z0s, rs, trails), trails)  # polls fills trails before zip reads it
+    independent: list[list] = []
+    top_trails = {}
+    for k, f in enumerate(fixed):
+        results: list = [None] * len(f)
+        for i in own[k]:
+            results[i], top_trails[k, i] = next(polled)
+        results += [next(polled)[0] for _ in range(multistart)]
+        independent.append(results)
+    pending = {}
+    for (k, i), top in tops.items():
+        if top == (k, i):
+            continue
+        if _same_poll(top_trails[top], boxed[k]):
+            independent[k][i] = independent[top[0]][top[1]]
+        else:
+            pending[k, i] = fixed[k][i]
+    return independent, pending
+
+
 def _probe_search(
     tree: ScenarioTree,
     pref: PreferenceSpec,
@@ -393,34 +513,46 @@ def _probe_search(
     finds with that ``box_radius``, no box doubling and the strategy of the
     radius before as its extra start (the warm start).
 
-    The starts that depend on no other radius, the zero, -phi and random
-    offsets of every radius, are polled together, each in its own box, taken
-    up in order by one ``_lockstep``. The warm start of a radius is the
-    strategy of the radius before, rebuilt as ``subhedge + (theta -
-    subhedge)`` and clipped to the box; a warm start that duplicates a fixed
-    one is dropped, as in ``optimize_pure``. The first best in that search's
-    start order wins: zero, -phi, warm, then the random starts.
+    The starts that depend on no other radius are the fixed ones, the zero
+    and -phi offsets clipped to each box, and the random ones. A fixed start
+    is polled once for its ladder, the radii that clip it to the same bytes
+    and whose ratio to the largest of them is a power of two to the bit: it
+    is polled at that largest radius, together with the random starts of
+    every radius, each in its own box, taken up in order by one
+    ``_lockstep``. A smaller radius of the ladder reads its ``(z, best)``
+    off that poll where ``_same_poll`` holds of its trail: the poll accepted
+    no step above the radius's first step, R/2, no candidate it tried from
+    its start and accepted points at R/2 or below leaves the box of radius
+    R, and ``_EVAL_BUDGET`` did not run out. Then the poll of radius R
+    makes the same moves in the same order and returns the same result, bit
+    for bit. Every other fixed start is polled in the ``_lockstep`` of the
+    warm-start guesses.
 
-    The warm starts are guessed, so that they too share one ``_lockstep``:
-    the guess of a radius is built as its warm start is, from the first best
-    of the radius before among its independent starts, which is that
-    radius's strategy unless its own warm start won. Then the radii are
-    walked in order: a guess equal to the warm start bit for bit keeps its
-    result, and any other warm start is polled alone. If the guess lockstep
-    raises, its results are dropped and every warm start is polled alone,
-    so the probe raises where the chain of warm starts does. A poll's
-    trajectory does not depend on the polls it shares its blocks with, so
-    every strategy is bitwise the one of the radius-by-radius search.
+    The warm start of a radius is the strategy of the radius before, rebuilt
+    as ``subhedge + (theta - subhedge)`` and clipped to the box; a warm
+    start that duplicates a fixed one is dropped, as in ``optimize_pure``.
+    The first best in that search's start order wins: zero, -phi, warm,
+    then the random starts. The warm starts are guessed, so that they too
+    share one ``_lockstep``: the guess of a radius is built as its warm
+    start is, from the first best of the radius before among its
+    independent starts known before that lockstep, which is that radius's
+    strategy unless its own warm start, or a fixed start polled beside the
+    guesses, won. Then the radii are walked in order: a guess equal to the
+    warm start bit for bit keeps its result, and any other warm start is
+    polled alone. If the guess lockstep raises, its results are dropped,
+    the fixed starts in it are polled again without the guesses and every
+    warm start alone, so the probe raises where the chain of warm starts
+    does. A poll's trajectory does not depend on the polls it shares its
+    blocks with, so every strategy is bitwise the one of the
+    radius-by-radius search.
     """
     x0 = finite_capital(x0)
     search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
     phi = search.phi
     boxed = [r for r in radii if r != 0.0]
     starts = [_pure_starts(phi, (), r, cfg) for r in boxed]
-    counts = [len(fixed) + cfg.multistart for fixed, _ in starts]
-    rs = [r for r, n in zip(boxed, counts) for _ in range(n)]
-    polled = iter(search.polls(chain.from_iterable(chain(*s) for s in starts), rs))
-    independent = [[next(polled) for _ in range(n)] for n in counts]
+    fixed = [f for f, _ in starts]
+    independent, pending = _independent_polls(search, boxed, starts, cfg.multistart)
     found: list[PureStrategy] = []
     if len(boxed) < len(radii):
         # the box of radius 0 is the single point theta = subhedge
@@ -432,26 +564,32 @@ def _probe_search(
         if before is None:
             return None
         warm = np.clip(before.as_flat(tree) - phi, -boxed[k], boxed[k])
-        return None if any(np.array_equal(warm, z0) for z0 in starts[k][0]) else warm
+        return None if any(np.array_equal(warm, z0) for z0 in fixed[k]) else warm
 
     # the strategy of the radius before each radius, unless the warm start
-    # of that radius wins there
+    # of that radius or a pending fixed start wins there
     befores = [found[-1] if found else None]
-    befores += [search.atoms(_first_best(res)[0])[0] for res in independent[:-1]]
+    befores += [search.atoms(_first_best([r for r in res if r is not None])[0])[0]
+                for res in independent[:-1]]
     guesses = {k: z for k, before in enumerate(befores[: len(boxed)])
                if (z := warm_start(before, k)) is not None}
+    pending_radii = [boxed[k] for k, _ in pending]
     try:
-        guessed = dict(zip(guesses, search.polls(guesses.values(), [boxed[k] for k in guesses])))
+        polled = search.polls([*pending.values(), *guesses.values()],
+                              pending_radii + [boxed[k] for k in guesses])
+        guessed = dict(zip(guesses, polled[len(pending):]))
     except Exception:  # a wrong guess may fail where no warm start does; the walk redoes them
-        guessed = {}
-    for k, (fixed, _) in enumerate(starts):
+        polled, guessed = search.polls(pending.values(), pending_radii), {}
+    for (k, i), res in zip(pending, polled):
+        independent[k][i] = res
+    for k, f in enumerate(fixed):
         results = independent[k]
         warm = warm_start(found[-1] if found else None, k)
         if warm is not None:
             if k in guessed and guesses[k].tobytes() == warm.tobytes():
-                results.insert(len(fixed), guessed[k])
+                results.insert(len(f), guessed[k])
             else:
-                results[len(fixed) : len(fixed)] = search.polls([warm], [boxed[k]])
+                results[len(f) : len(f)] = search.polls([warm], [boxed[k]])
         found += search.atoms(_first_best(results)[0])
     return found
 

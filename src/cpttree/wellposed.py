@@ -221,9 +221,19 @@ def boundedness_probe(
     from the previous argmax, so the sequence is nondecreasing up to
     re-evaluation rounding: each point re-evaluates a strategy rebuilt as
     ``subhedge + (theta - subhedge)``, which can sit an ulp below the
-    previous point. The searches share one set-up: the independent starts
-    of every radius, zero, -phi and the random ones, are polled together;
-    then the warm starts, each guessed from the independent starts of the
+    previous point. ``box_radii`` set the boxes: ``cfg`` supplies the seed,
+    ``multistart`` and ``tol``, a ``cfg.box_radius`` other than None is
+    refused, and ``cfg.max_box_doublings`` does not apply.
+
+    The searches share one set-up. The zero and -phi starts are polled
+    once per ladder of radii that clip them to the same bytes, at its
+    largest radius R_top, together with the random starts of every radius.
+    A smaller radius R of the ladder, R_top / R a power of two to the bit,
+    reads its result off that poll where the poll accepted no step above
+    R/2, tried no candidate at R/2 or below outside the box of R, and did
+    not run out of budget: the poll of radius R would make the same moves
+    in the same order (``optimize._same_poll``). The other fixed starts
+    and the warm starts, each guessed from the independent starts of the
     radius before, are polled together, and the radii are walked in order,
     a guess that differs from the true warm start by a bit giving way to a
     lone poll of the true one. The points are those of one
@@ -234,11 +244,15 @@ def boundedness_probe(
     """
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")
+    cfg = cfg or SearchConfig()
+    if cfg.box_radius is not None:
+        raise ValidationError("the boundedness probe takes its boxes from box_radii, "
+                              "not cfg.box_radius")
     radii = _probe_radii(box_radii)
     increasing = all(a < b for a, b in zip(radii, radii[1:]))  # NaN fails too
     if not (radii and increasing and all(0.0 <= r < math.inf for r in radii)):
         raise ValidationError("box_radii must be increasing, finite and nonnegative")
-    strategies = _probe_search(tree, pref, x0, ref, radii, cfg or SearchConfig())
+    strategies = _probe_search(tree, pref, x0, ref, radii, cfg)
     thetas = np.stack([s.as_matrix(tree) for s in strategies])
     outcomes = _leaf_outcomes(tree, thetas, finite_capital(x0), ref.benchmark_array(tree))
     sides = zip(*_cpt_sides(outcomes, tree.leaf_prob, pref))

@@ -329,6 +329,65 @@ class TestLadderCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+class TestProbeCommand:
+    ARGS = ["probe", "--radii", "0.5,1,2,4", "--seed", "1", "--multistart", "2", "--x0", "0.3",
+            "--benchmark", "0.1"]
+
+    @pytest.fixture
+    def trinomial_market_file(self, tmp_path):
+        path = tmp_path / "tri.mkt"
+        path.write_text(emit_market(build_iid_market([(0.3, 1.2), (0.45, -0.8), (0.25, 0.3)], 1)))
+        return path
+
+    def test_byte_identical_reruns(self, tmp_path, trinomial_market_file):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            argv = self.ARGS + ["--market", str(trinomial_market_file), "--out", str(out)]
+            assert main(argv) == 0
+        assert sorted(p.name for p in outs[0].iterdir()) == ["manifest.json", "probe.json"]
+        for name in ("probe.json", "manifest.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        tree = build_iid_market([(0.3, 1.2), (0.45, -0.8), (0.25, 0.3)], 1)
+        expected = cpttree.boundedness_probe(
+            tree, cpttree.coin_model_preferences(), 0.3, cpttree.ReferenceSpec.constant(tree, 0.1),
+            [0.5, 1.0, 2.0, 4.0], cpttree.SearchConfig(seed=1, multistart=2),
+        )
+        assert read_json(outs[0] / "probe.json") == json.loads(_dumps(expected.to_json_dict()))
+        manifest = read_json(outs[0] / "manifest.json")
+        assert manifest["subcommand"] == "probe" and manifest["seed"] == 1
+        assert manifest["parameters"] == {
+            "market": str(trinomial_market_file), "pref": None, "set": [], "x0": 0.3,
+            "benchmark": 0.1, "radii": "0.5,1,2,4", "seed": 1, "multistart": 2,
+        }
+
+    def test_failed_gate_exits_2_and_writes_nothing(self, tmp_path, trinomial_market_file, capsys):
+        pref = tmp_path / "ill.cfg"
+        pref.write_text("alpha_plus=0.9\nalpha_minus=1.0\nfamily_wplus=power\ngamma_plus=0.5\n")
+        out = tmp_path / "out"
+        argv = ["probe", "--market", str(trinomial_market_file), "--pref", str(pref)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "gate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["2,1", "1,1", "-1,1", "a,b", "1,nan", "", ","])
+    def test_bad_radius_list_exits_2_and_writes_nothing(
+        self, tmp_path, trinomial_market_file, capsys, radii
+    ):
+        out = tmp_path / "out"
+        argv = ["probe", "--market", str(trinomial_market_file), f"--radii={radii}"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "radii" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--multistart", "0"], ["--seed", "-1"], ["--x0", "inf"]])
+    def test_out_of_range_options_exit_2(self, tmp_path, trinomial_market_file, extra):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["probe", "--market", str(trinomial_market_file), *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
 class TestIllposedDemo:
     ARGS = [
         "illposed-demo", "--alpha-plus", "0.9", "--gamma-plus", "0.5",

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ref, tame_valid_pref, random_tree
 from cpttree import (
@@ -252,6 +254,21 @@ class TestBoundednessProbe:
         assert all(a < b for a, b in zip(vals, vals[1:]))
         assert not res.plateau
 
+    def test_refuses_a_box_radius_in_the_config(self, coin_tree):
+        # the probe's radii set its boxes; a cfg.box_radius used to be ignored
+        with pytest.raises(ValidationError, match="box_radii"):
+            boundedness_probe(
+                coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree),
+                [0.5, 1.0], SearchConfig(seed=0, multistart=1, box_radius=0.01),
+            )
+
+    def test_max_box_doublings_does_not_apply(self, coin_tree):
+        args = (coin_tree, coin_model_preferences(), 0.0, ReferenceSpec.zero(coin_tree), [0.5, 1.0])
+        res = boundedness_probe(*args, SearchConfig(seed=0, multistart=1))
+        for doublings in (0, 3):
+            cfg = SearchConfig(seed=0, multistart=1, max_box_doublings=doublings)
+            assert boundedness_probe(*args, cfg) == res
+
     def test_radii_must_increase(self, coin_tree):
         with pytest.raises(ValidationError, match="increasing"):
             boundedness_probe(
@@ -420,11 +437,12 @@ class TestProbeSchedule:
         ref = ReferenceSpec.zero(tree)
         cfg = SearchConfig(seed=1, multistart=4)
         boundedness_probe(tree, coin_model_preferences(), 0.0, ref, [0.5, 1.0, 2.0], cfg)
-        # the zero start and four random ones at each radius, then the two
-        # guessed warm starts; the warm start at 1.0 wins, so the guess at 2.0
-        # is wrong and its true warm start runs alone
+        # the zero start at 2.0 and four random ones at each radius; the
+        # budget ran out at 2.0, so the zero starts at 0.5 and 1.0 run beside
+        # the two guessed warm starts. The warm start at 1.0 wins, so the
+        # guess at 2.0 is wrong and its true warm start runs alone
         starts, rounds = lockstep_rounds
-        assert starts == [15, 2, 1] and max(rounds) == 8
+        assert starts == [13, 4, 1] and max(rounds) == 8
         assert max(blocks) <= optimize._BLOCK_FLOATS
         assert max(blocks) >= 8 * 2 * 512  # every live start polled a coordinate in one call
 
@@ -459,9 +477,10 @@ class TestProbeSchedule:
         starts, _ = lockstep_rounds
         starts.clear()
         assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        # per probe: three starts a radius, six guesses, then the warm starts
-        # from radius 4 on alone, their guesses having missed
-        assert starts == 2 * [21, 6, 1, 1, 1, 1, 1]
+        # per probe: the zero and -phi starts at radius 64 and a random start
+        # a radius; two fixed starts not read off beside the six guesses; then
+        # the warm starts from radius 4 on alone, their guesses having missed
+        assert starts == 2 * [9, 8, 1, 1, 1, 1, 1]
 
     def test_warm_start_never_winning_keeps_every_guess(self, monkeypatch, lockstep_rounds):
         tree, pref, x0, ref = trinomial_probe_instance()
@@ -472,7 +491,9 @@ class TestProbeSchedule:
         starts, _ = lockstep_rounds
         starts.clear()
         assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        assert starts == 2 * [21, 6]
+        # the zero and -phi starts at radius 64, every smaller radius reading
+        # them off, and a random start a radius; then the six guesses
+        assert starts == 2 * [9, 6]
 
     def test_a_failing_guess_lockstep_falls_back_to_the_chain(
         self, monkeypatch, lockstep_rounds
@@ -491,4 +512,90 @@ class TestProbeSchedule:
 
         monkeypatch.setattr(optimize, "_lockstep", failing_guesses)
         assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        assert starts == 2 * [21, 1, 1, 1, 1, 1, 1]
+        assert starts == 2 * [9, 1, 1, 1, 1, 1, 1]
+
+    def test_a_failing_guess_lockstep_polls_the_pending_fixed_starts_again(
+        self, monkeypatch, lockstep_rounds
+    ):
+        tree, pref, x0, ref = warm_winning_probe_instance()
+        cfg = SearchConfig(seed=310, multistart=1)
+        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
+        starts, _ = lockstep_rounds
+        starts.clear()
+        run = optimize._lockstep
+
+        def failing_guesses(*args):
+            if len(args[3]) == 8:  # two pending fixed starts and six guesses
+                raise RuntimeError("non-finite objective value during search")
+            return run(*args)
+
+        monkeypatch.setattr(optimize, "_lockstep", failing_guesses)
+        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
+        assert starts == 2 * [9, 2, 1, 1, 1, 1, 1, 1]
+
+        def failing_pending(*args):
+            if len(args[3]) in (8, 2):  # a pending fixed start fails, with or without guesses
+                raise RuntimeError("non-finite objective value during search")
+            return run(*args)
+
+        monkeypatch.setattr(optimize, "_lockstep", failing_pending)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            optimize._probe_search(tree, pref, x0, ref, SEVEN_RADII, cfg)
+
+
+# --- fixed starts read off the poll at the top of their ladder ---------------
+
+LADDERS = {
+    "ratio 2": [0.25, 0.5, 1.0, 2.0],
+    "ratio 4": [0.125, 0.5, 2.0],
+    # no ratio is a power of two: every fixed start is polled
+    "1, 3, 10": [1.0, 3.0, 10.0],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from(sorted(LADDERS)),
+    st.sampled_from([1e-9, 0.01, 0.2, 0.6]),
+    st.sampled_from([None, 6, 30]),
+)
+# in each, reading off a start without one check gives a wrong result: the
+# budget ran out, a step above R/2 was accepted, a candidate left the box of
+# R, the start was clipped to other bytes, the ratio is no power of two
+@example(0, 2, "ratio 2", 1e-9, 6)
+@example(25, 2, "ratio 2", 0.2, None)
+@example(36189247, 1, "ratio 2", 1e-9, None)
+@example(0, 2, "ratio 2", 1e-9, None)
+@example(0, 2, "1, 3, 10", 1e-9, None)
+def test_read_off_results_are_the_polls_at_their_radius(seed, dim, ladder, tol, budget):
+    # one- and two-step trees of 1 to 3 variables; tol lies above R/2 for the
+    # smaller radii and below it for the larger ones
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_horizon=2 if dim == 1 else 1, asset_dim=dim)
+    assume(len(tree.nonterminal_ids) * dim <= 3)
+    pref = tame_valid_pref(rng)
+    ref = random_ref(rng, tree, scale=1.0)
+    x0 = float(rng.uniform(-1.0, 1.0))
+    radii = LADDERS[ladder]
+    cfg = SearchConfig(seed=seed % 1000, multistart=1, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(optimize, "_EVAL_BUDGET", budget)
+        search = optimize._OffsetSearch(tree, pref, x0, ref, 1, tol)
+        starts = [optimize._pure_starts(search.phi, (), r, cfg) for r in radii]
+        fixed = [f for f, _ in starts]
+        independent, pending = optimize._independent_polls(search, radii, starts, 1)
+        tops = optimize._ladder_tops(radii, fixed)
+        if ladder == "1, 3, 10":
+            assert all(top == key for key, top in tops.items()) and not pending
+        for (k, i), top in tops.items():
+            if (k, i) in pending:
+                assert top != (k, i) and independent[k][i] is None
+                continue
+            (z, v), = search.polls([fixed[k][i]], [radii[k]])
+            got_z, got_v = independent[k][i]
+            # bitwise, the sign of zero included
+            assert got_z.tobytes() == z.tobytes() and got_v == v
+        assert_probe_as_radius_by_radius(tree, pref, x0, ref, radii, cfg)
