@@ -510,88 +510,37 @@ def _probe_search(
 ) -> list[PureStrategy]:
     """The pure strategy found at each of the increasing, nonnegative box
     ``radii``: the sub-hedge at radius 0, and elsewhere what ``optimize_pure``
-    finds with that ``box_radius``, no box doubling and the strategy of the
-    radius before as its extra start (the warm start).
+    finds with that ``box_radius``, no box doubling and no extra start. The
+    radii are searched independently of each other.
 
-    The starts that depend on no other radius are the fixed ones, the zero
-    and -phi offsets clipped to each box, and the random ones. A fixed start
-    is polled once for its ladder, the radii that clip it to the same bytes
-    and whose ratio to the largest of them is a power of two to the bit: it
-    is polled at that largest radius, together with the random starts of
-    every radius, each in its own box, taken up in order by one
-    ``_lockstep``. A smaller radius of the ladder reads its ``(z, best)``
-    off that poll where ``_same_poll`` holds of its trail: the poll accepted
-    no step above the radius's first step, R/2, no candidate it tried from
-    its start and accepted points at R/2 or below leaves the box of radius
-    R, and ``_EVAL_BUDGET`` did not run out. Then the poll of radius R
-    makes the same moves in the same order and returns the same result, bit
-    for bit. Every other fixed start is polled in the ``_lockstep`` of the
-    warm-start guesses.
-
-    The warm start of a radius is the strategy of the radius before, rebuilt
-    as ``subhedge + (theta - subhedge)`` and clipped to the box; a warm
-    start that duplicates a fixed one is dropped, as in ``optimize_pure``.
-    The first best in that search's start order wins: zero, -phi, warm,
-    then the random starts. The warm starts are guessed, so that they too
-    share one ``_lockstep``: the guess of a radius is built as its warm
-    start is, from the first best of the radius before among its
-    independent starts known before that lockstep, which is that radius's
-    strategy unless its own warm start, or a fixed start polled beside the
-    guesses, won. Then the radii are walked in order: a guess equal to the
-    warm start bit for bit keeps its result, and any other warm start is
-    polled alone. If the guess lockstep raises, its results are dropped,
-    the fixed starts in it are polled again without the guesses and every
-    warm start alone, so the probe raises where the chain of warm starts
-    does. A poll's trajectory does not depend on the polls it shares its
-    blocks with, so every strategy is bitwise the one of the
-    radius-by-radius search.
+    Each radius starts from the zero and -phi offsets clipped to its box and
+    from its random starts. A fixed start is polled once for its ladder, the
+    radii that clip it to the same bytes and whose ratio to the largest of
+    them is a power of two to the bit: it is polled at that largest radius,
+    together with the random starts of every radius, each in its own box,
+    taken up in order by one ``_lockstep``. A smaller radius of the ladder
+    reads its ``(z, best)`` off that poll where ``_same_poll`` holds of its
+    trail: the poll accepted no step above the radius's first step, R/2, no
+    candidate it tried from its start and accepted points at R/2 or below
+    leaves the box of radius R, and ``_EVAL_BUDGET`` did not run out. Then
+    the poll of radius R makes the same moves in the same order and returns
+    the same result, bit for bit. The fixed starts left pending, if any, are
+    polled together in a second ``_lockstep``. The first best in each
+    radius's start order wins: zero, -phi, then the random starts. A poll's
+    trajectory does not depend on the polls it shares its blocks with, so
+    every strategy is bitwise that of one ``optimize_pure`` call per radius.
     """
     x0 = finite_capital(x0)
     search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
-    phi = search.phi
     boxed = [r for r in radii if r != 0.0]
-    starts = [_pure_starts(phi, (), r, cfg) for r in boxed]
-    fixed = [f for f, _ in starts]
+    starts = [_pure_starts(search.phi, (), r, cfg) for r in boxed]
     independent, pending = _independent_polls(search, boxed, starts, cfg.multistart)
-    found: list[PureStrategy] = []
-    if len(boxed) < len(radii):
-        # the box of radius 0 is the single point theta = subhedge
-        found.append(ref.subhedge)
-
-    def warm_start(before: PureStrategy | None, k: int) -> np.ndarray | None:
-        """The warm start of radius boxed[k] from the strategy ``before``,
-        or None where there is none or it duplicates a fixed start."""
-        if before is None:
-            return None
-        warm = np.clip(before.as_flat(tree) - phi, -boxed[k], boxed[k])
-        return None if any(np.array_equal(warm, z0) for z0 in fixed[k]) else warm
-
-    # the strategy of the radius before each radius, unless the warm start
-    # of that radius or a pending fixed start wins there
-    befores = [found[-1] if found else None]
-    befores += [search.atoms(_first_best([r for r in res if r is not None])[0])[0]
-                for res in independent[:-1]]
-    guesses = {k: z for k, before in enumerate(befores[: len(boxed)])
-               if (z := warm_start(before, k)) is not None}
-    pending_radii = [boxed[k] for k, _ in pending]
-    try:
-        polled = search.polls([*pending.values(), *guesses.values()],
-                              pending_radii + [boxed[k] for k in guesses])
-        guessed = dict(zip(guesses, polled[len(pending):]))
-    except Exception:  # a wrong guess may fail where no warm start does; the walk redoes them
-        polled, guessed = search.polls(pending.values(), pending_radii), {}
+    polled = search.polls(pending.values(), [boxed[k] for k, _ in pending])
     for (k, i), res in zip(pending, polled):
         independent[k][i] = res
-    for k, f in enumerate(fixed):
-        results = independent[k]
-        warm = warm_start(found[-1] if found else None, k)
-        if warm is not None:
-            if k in guessed and guesses[k].tobytes() == warm.tobytes():
-                results.insert(len(f), guessed[k])
-            else:
-                results[len(f) : len(f)] = search.polls([warm], [boxed[k]])
-        found += search.atoms(_first_best(results)[0])
-    return found
+    # the box of radius 0 is the single point theta = subhedge
+    found = [ref.subhedge] if len(boxed) < len(radii) else []
+    return found + [search.atoms(_first_best(results)[0])[0] for results in independent]
 
 
 def optimize_pure(

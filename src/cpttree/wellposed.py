@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -217,13 +218,15 @@ def boundedness_probe(
     improvement below 1e-6 over the last three radius doublings). The
     probe refuses gate-violating preferences unless explicitly overridden
     for pathology demonstrations. Each radius runs the search of
-    ``optimize_pure`` with that box radius and no box doubling, warm-started
-    from the previous argmax, so the sequence is nondecreasing up to
-    re-evaluation rounding: each point re-evaluates a strategy rebuilt as
-    ``subhedge + (theta - subhedge)``, which can sit an ulp below the
-    previous point. ``box_radii`` set the boxes: ``cfg`` supplies the seed,
-    ``multistart`` and ``tol``, a ``cfg.box_radius`` other than None is
-    refused, and ``cfg.max_box_doublings`` does not apply.
+    ``optimize_pure`` with that box radius, no box doubling and no extra
+    start, independently of the other radii; radius 0 is the sub-hedge. The
+    point at a radius is the best value among the searches at every radius
+    up to it: a later radius replaces the held value only when its own is
+    strictly greater, so the points are exactly nondecreasing and each is
+    the value of a strategy within its box. ``box_radii`` set the boxes:
+    ``cfg`` supplies the seed, ``multistart`` and ``tol``, a
+    ``cfg.box_radius`` other than None is refused, and
+    ``cfg.max_box_doublings`` does not apply.
 
     The searches share one set-up. The zero and -phi starts are polled
     once per ladder of radii that clip them to the same bytes, at its
@@ -232,11 +235,8 @@ def boundedness_probe(
     reads its result off that poll where the poll accepted no step above
     R/2, tried no candidate at R/2 or below outside the box of R, and did
     not run out of budget: the poll of radius R would make the same moves
-    in the same order (``optimize._same_poll``). The other fixed starts
-    and the warm starts, each guessed from the independent starts of the
-    radius before, are polled together, and the radii are walked in order,
-    a guess that differs from the true warm start by a bit giving way to a
-    lone poll of the true one. The points are those of one
+    in the same order (``optimize._same_poll``). The other fixed starts are
+    polled together afterwards. The strategies are those of one
     ``optimize_pure`` call per radius, bitwise: all of them are valued by
     one kernel call on the stacked strategies, whose rows do not depend on
     the block they share, and each is refused on overflow as ``cpt_value``
@@ -257,6 +257,8 @@ def boundedness_probe(
     outcomes = _leaf_outcomes(tree, thetas, finite_capital(x0), ref.benchmark_array(tree))
     sides = zip(*_cpt_sides(outcomes, tree.leaf_prob, pref))
     vals = [float(CPTValue.from_parts(float(p), float(m)).v) for p, m in sides]
+    # the running max: max keeps the held value unless the later one is greater
+    vals = list(accumulate(vals, max))
     plateau = False
     if len(vals) >= 4:
         rels = [

@@ -307,27 +307,30 @@ class TestBoundednessProbe:
         assert [r for r, _ in res.points] == [1.0, 2.0]
 
 
-# --- the probe's schedule against one search per radius ----------------------
+# --- the probe as a running max of one search per radius ---------------------
 
 
-def radius_by_radius(tree, pref, x0, ref, radii, cfg):
-    """The probe as one ``optimize_pure`` per radius, warm-started from the
-    strategy of the radius before: its strategies and points."""
-    strategies, points, prev = [], [], []
+def running_max_by_radius(tree, pref, x0, ref, radii, cfg):
+    """The probe as one ``optimize_pure`` per radius, without extra starts,
+    and a strict running max of their values: the per-radius strategies and
+    the probe's points."""
+    strategies, points = [], []
     for r in radii:
         if r == 0.0:
-            strategy, value = ref.subhedge, cpt_value(tree, ref.subhedge, x0, ref, pref)
+            strategy = ref.subhedge
         else:
             cfg_r = replace(cfg, box_radius=r, max_box_doublings=0)
-            strategy, value = optimize_pure(tree, pref, x0, ref, cfg_r, extra_starts=prev)
+            strategy, _ = optimize_pure(tree, pref, x0, ref, cfg_r)
+        v = float(cpt_value(tree, strategy, x0, ref, pref).v)
+        if points and not v > points[-1][1]:
+            v = points[-1][1]
         strategies.append(strategy)
-        points.append((r, float(value.v)))
-        prev = [strategy]
+        points.append((r, v))
     return strategies, tuple(points)
 
 
-def assert_probe_as_radius_by_radius(tree, pref, x0, ref, radii, cfg):
-    strategies, points = radius_by_radius(tree, pref, x0, ref, radii, cfg)
+def assert_probe_as_running_max(tree, pref, x0, ref, radii, cfg):
+    strategies, points = running_max_by_radius(tree, pref, x0, ref, radii, cfg)
     assert_probe_gives(strategies, points, tree, pref, x0, ref, radii, cfg)
 
 
@@ -352,10 +355,10 @@ def trinomial_probe_instance():
     return tree, pref, 0.3, ReferenceSpec(benchmark=bench, subhedge=phi, floor=floor)
 
 
-def warm_winning_probe_instance():
-    """A one-step trinomial instance whose warm start wins the search at
-    every radius from 2 on, when searched with seed 310 and one random start
-    over the radii 1, 2, 4, ..., 64; so each guess from 4 on is wrong."""
+def pending_probe_instance():
+    """A one-step trinomial instance whose zero and -phi starts at radius 1
+    cannot read their results off their polls at radius 64, over the radii
+    1, 2, 4, ..., 64: the probe leaves them pending."""
     incs = [0.0, 1.3673928612793134, -0.8695689512344535, -1.3018441449449507]
     tree = ScenarioTree(
         horizon=1,
@@ -372,18 +375,25 @@ def warm_winning_probe_instance():
     return tree, pref, 0.7161232606441028, ref
 
 
-def record_winners(monkeypatch):
-    """Records the index of the start that wins each ``_first_best`` call."""
-    winners = []
-    first_best = optimize._first_best
+def poison_polls(monkeypatch, poisoned):
+    """Makes every objective value of a block NaN for the polls started at
+    z0 in the box [lo, hi]^m where ``poisoned(z0, hi)``."""
+    poll = optimize._poll
 
-    def recorded(results):
-        best = first_best(results)
-        winners.append(next(i for i, res in enumerate(results) if res is best))
-        return best
+    def poll_with_nans(z0, state, best, lo, hi, *args):
+        inner = poll(z0, state, best, lo, hi, *args)
+        reply = None
+        while True:
+            try:
+                request = inner.send(reply)
+            except StopIteration as done:
+                return done.value
+            block, values, finite = yield request
+            if poisoned(z0, hi):
+                values, finite = np.full_like(values, np.nan), False
+            reply = block, values, finite
 
-    monkeypatch.setattr(optimize, "_first_best", recorded)
-    return winners
+    monkeypatch.setattr(optimize, "_poll", poll_with_nans)
 
 
 SEVEN_RADII = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
@@ -391,9 +401,9 @@ SEVEN_RADII = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
 
 class TestProbeSchedule:
     """``boundedness_probe`` polls the independent starts of every radius
-    together, then the guessed warm starts together, and polls alone each
-    warm start its guess missed; every point and strategy is bitwise that
-    of one ``optimize_pure`` per radius."""
+    in one lockstep, and the fixed starts it cannot read off in a second;
+    every strategy is bitwise that of one ``optimize_pure`` per radius, and
+    every point the running max of their values."""
 
     @pytest.mark.parametrize("multistart", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
@@ -404,22 +414,22 @@ class TestProbeSchedule:
         ref = random_ref(rng, tree)
         x0 = float(rng.uniform(-1.0, 1.0))
         cfg = SearchConfig(seed=seed, multistart=multistart)
-        assert_probe_as_radius_by_radius(tree, pref, x0, ref, [0.0, 0.25, 1.0, 4.0, 16.0], cfg)
+        assert_probe_as_running_max(tree, pref, x0, ref, [0.0, 0.25, 1.0, 4.0, 16.0], cfg)
 
     @pytest.mark.parametrize("radii", [[0.0, 0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 4.0]])
     @pytest.mark.parametrize("multistart", [1, 3])
     def test_zero_subhedge_duplicates_fixed_starts(self, coin_tree, radii, multistart):
-        # phi = 0: -phi is the zero start, and so is the warm start from radius 0
+        # phi = 0: -phi is the zero start
         tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], 2)
         for t in (coin_tree, tree):
             ref = ReferenceSpec.zero(t)
             cfg = SearchConfig(seed=4, multistart=multistart)
-            assert_probe_as_radius_by_radius(t, coin_model_preferences(), 0.0, ref, radii, cfg)
+            assert_probe_as_running_max(t, coin_model_preferences(), 0.0, ref, radii, cfg)
 
     def test_only_radius_zero(self, coin_tree):
         cfg = SearchConfig(seed=0, multistart=1)
         ref = ReferenceSpec.zero(coin_tree)
-        assert_probe_as_radius_by_radius(coin_tree, coin_model_preferences(), 0.0, ref, [0.0], cfg)
+        assert_probe_as_running_max(coin_tree, coin_model_preferences(), 0.0, ref, [0.0], cfg)
 
     def test_blocks_stay_within_the_block_cap(self, monkeypatch, lockstep_rounds):
         # 512 leaves: a start's smallest block is two rows of 512 floats, so
@@ -438,11 +448,10 @@ class TestProbeSchedule:
         cfg = SearchConfig(seed=1, multistart=4)
         boundedness_probe(tree, coin_model_preferences(), 0.0, ref, [0.5, 1.0, 2.0], cfg)
         # the zero start at 2.0 and four random ones at each radius; the
-        # budget ran out at 2.0, so the zero starts at 0.5 and 1.0 run beside
-        # the two guessed warm starts. The warm start at 1.0 wins, so the
-        # guess at 2.0 is wrong and its true warm start runs alone
+        # budget ran out at 2.0, so the zero starts at 0.5 and 1.0 are
+        # polled in a second lockstep
         starts, rounds = lockstep_rounds
-        assert starts == [13, 4, 1] and max(rounds) == 8
+        assert starts == [13, 2] and max(rounds) == 8
         assert max(blocks) <= optimize._BLOCK_FLOATS
         assert max(blocks) >= 8 * 2 * 512  # every live start polled a coordinate in one call
 
@@ -456,91 +465,71 @@ class TestProbeSchedule:
 
         monkeypatch.setattr(optimize, "_cpt_rows", counted)
         tree, pref, x0, ref = trinomial_probe_instance()
-        radii = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
         cfg = SearchConfig(seed=7, multistart=1)
-        for probe in (radius_by_radius, optimize._probe_search):
+        for probe in (running_max_by_radius, optimize._probe_search):
             calls.append(0)
-            probe(tree, pref, x0, ref, radii, cfg)
+            probe(tree, pref, x0, ref, SEVEN_RADII, cfg)
         separate, together = calls
         assert together < separate
 
-    def test_warm_start_winning_in_a_row_makes_the_guesses_fail(
-        self, monkeypatch, lockstep_rounds
+    @pytest.mark.parametrize(
+        "instance, seed, lockstep_starts",
+        [(trinomial_probe_instance, 1, [9]), (pending_probe_instance, 310, [9, 2])],
+        ids=["none pending", "two pending"],
+    )
+    def test_one_lockstep_and_one_for_the_pending_fixed_starts(
+        self, lockstep_rounds, instance, seed, lockstep_starts
     ):
-        tree, pref, x0, ref = warm_winning_probe_instance()
-        cfg = SearchConfig(seed=310, multistart=1)
-        winners = record_winners(monkeypatch)
-        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
-        # zero, -phi, (warm,) random: the random start wins at radius 1, which
-        # has no warm start, and the warm start at every radius after it
-        assert winners == [2] * 7
+        tree, pref, x0, ref = instance()
+        cfg = SearchConfig(seed=seed, multistart=1)
+        strategies, points = running_max_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
         starts, _ = lockstep_rounds
         starts.clear()
         assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        # per probe: the zero and -phi starts at radius 64 and a random start
-        # a radius; two fixed starts not read off beside the six guesses; then
-        # the warm starts from radius 4 on alone, their guesses having missed
-        assert starts == 2 * [9, 8, 1, 1, 1, 1, 1]
+        # per probe: the zero and -phi starts at radius 64, polled for every
+        # radius, and a random start a radius; then the pending fixed starts
+        assert starts == 2 * lockstep_starts
 
-    def test_warm_start_never_winning_keeps_every_guess(self, monkeypatch, lockstep_rounds):
-        tree, pref, x0, ref = trinomial_probe_instance()
-        cfg = SearchConfig(seed=1, multistart=1)
-        winners = record_winners(monkeypatch)
-        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
-        assert winners == [0] * 7
-        starts, _ = lockstep_rounds
-        starts.clear()
-        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        # the zero and -phi starts at radius 64, every smaller radius reading
-        # them off, and a random start a radius; then the six guesses
-        assert starts == 2 * [9, 6]
-
-    def test_a_failing_guess_lockstep_falls_back_to_the_chain(
-        self, monkeypatch, lockstep_rounds
-    ):
-        tree, pref, x0, ref = trinomial_probe_instance()
-        cfg = SearchConfig(seed=1, multistart=1)
-        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
-        starts, _ = lockstep_rounds
-        starts.clear()
-        run = optimize._lockstep
-
-        def failing_guesses(*args):
-            if len(args[3]) == 6:  # the six guesses
-                raise RuntimeError("non-finite objective value during search")
-            return run(*args)
-
-        monkeypatch.setattr(optimize, "_lockstep", failing_guesses)
-        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        assert starts == 2 * [9, 1, 1, 1, 1, 1, 1]
-
-    def test_a_failing_guess_lockstep_polls_the_pending_fixed_starts_again(
-        self, monkeypatch, lockstep_rounds
-    ):
-        tree, pref, x0, ref = warm_winning_probe_instance()
-        cfg = SearchConfig(seed=310, multistart=1)
-        strategies, points = radius_by_radius(tree, pref, x0, ref, SEVEN_RADII, cfg)
-        starts, _ = lockstep_rounds
-        starts.clear()
-        run = optimize._lockstep
-
-        def failing_guesses(*args):
-            if len(args[3]) == 8:  # two pending fixed starts and six guesses
-                raise RuntimeError("non-finite objective value during search")
-            return run(*args)
-
-        monkeypatch.setattr(optimize, "_lockstep", failing_guesses)
-        assert_probe_gives(strategies, points, tree, pref, x0, ref, SEVEN_RADII, cfg)
-        assert starts == 2 * [9, 2, 1, 1, 1, 1, 1, 1]
-
-        def failing_pending(*args):
-            if len(args[3]) in (8, 2):  # a pending fixed start fails, with or without guesses
-                raise RuntimeError("non-finite objective value during search")
-            return run(*args)
-
-        monkeypatch.setattr(optimize, "_lockstep", failing_pending)
+    @pytest.mark.parametrize("radius", SEVEN_RADII)
+    def test_a_non_finite_objective_at_one_radius_raises(self, monkeypatch, radius):
+        tree, pref, x0, ref = pending_probe_instance()
+        poison_polls(monkeypatch, lambda z0, hi: hi == radius)
         with pytest.raises(RuntimeError, match="non-finite"):
-            optimize._probe_search(tree, pref, x0, ref, SEVEN_RADII, cfg)
+            boundedness_probe(tree, pref, x0, ref, SEVEN_RADII, SearchConfig(seed=310, multistart=1))
+
+    def test_a_non_finite_objective_in_a_pending_fixed_start_raises(
+        self, monkeypatch, lockstep_rounds
+    ):
+        tree, pref, x0, ref = pending_probe_instance()
+        starts, _ = lockstep_rounds
+        # only the polls of the second lockstep, the pending zero and -phi starts at radius 1
+        poison_polls(monkeypatch, lambda z0, hi: len(starts) == 2)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            boundedness_probe(tree, pref, x0, ref, SEVEN_RADII, SearchConfig(seed=310, multistart=1))
+        assert starts == [9, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.integers(1, 3))
+# two variables: the search at radius 0.5 ends an ulp below the one at 0.25;
+# three: those at radii 1 to 4 end ulps below the one at 0.5
+@example(0, 2, False, 1)
+@example(0, 3, False, 1)
+def test_probe_points_are_the_running_max_of_the_radius_values(seed, dim, from_zero, multistart):
+    # one- and two-step trees of 1 to 3 variables
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_horizon=2 if dim == 1 else 1, asset_dim=dim)
+    assume(len(tree.nonterminal_ids) * dim <= 3)
+    pref = tame_valid_pref(rng)
+    ref = random_ref(rng, tree)
+    x0 = float(rng.uniform(-1.0, 1.0))
+    radii = [0.0] * from_zero + [0.25, 0.5, 1.0, 2.0, 4.0]
+    cfg = SearchConfig(seed=seed % 1000, multistart=multistart)
+    strategies, _ = running_max_by_radius(tree, pref, x0, ref, radii, cfg)
+    values = [float(cpt_value(tree, s, x0, ref, pref).v) for s in strategies]
+    points = [v for _, v in boundedness_probe(tree, pref, x0, ref, radii, cfg).points]
+    assert all(a <= b for a, b in zip(points, points[1:])), points
+    assert points == [max(values[: k + 1]) for k in range(len(values))]
 
 
 # --- fixed starts read off the poll at the top of their ladder ---------------
@@ -598,4 +587,4 @@ def test_read_off_results_are_the_polls_at_their_radius(seed, dim, ladder, tol, 
             got_z, got_v = independent[k][i]
             # bitwise, the sign of zero included
             assert got_z.tobytes() == z.tobytes() and got_v == v
-        assert_probe_as_radius_by_radius(tree, pref, x0, ref, radii, cfg)
+        assert_probe_as_running_max(tree, pref, x0, ref, radii, cfg)
