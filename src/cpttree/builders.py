@@ -54,7 +54,11 @@ def uniform_quantile_pmf(lo: float, hi: float, n_atoms: int) -> Pmf:
         raise ValidationError("n_atoms must be >= 1")
     if not hi > lo:
         raise ValidationError("need hi > lo")
-    atoms = lo + (hi - lo) * np.arange(1, n_atoms + 1) / n_atoms
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.isfinite(width):  # an infinite bound, or a width that overflows
+        raise ValidationError("need finite lo and hi with a finite hi - lo")
+    atoms = lo + width * np.arange(1, n_atoms + 1) / n_atoms
     return [(1.0 / n_atoms, (float(a),)) for a in atoms]
 
 

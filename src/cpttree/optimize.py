@@ -12,8 +12,8 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,16 +92,16 @@ def _poll(
     tol: float,
     row_cap: Callable[[], int],
     span: int,
-) -> Generator[tuple, tuple, tuple[np.ndarray, float, _Trail]]:
+) -> Generator[tuple, tuple, tuple[np.ndarray, float]]:
     """Coordinate poll in [lo, hi]^m with opportunistic acceptance and step shrinking.
 
     ``state`` is whatever cached transform of z the objective consumes and
     ``best`` its value. The poll yields a block request ``(state, js,
-    deltas)``, the moves of coordinate js[k] by deltas[k] from ``state``, and
-    receives ``(block, values, finite)``: one shifted state and one objective
-    value per move, and whether every value is finite, so that only a block
-    holding a non-finite value pays for the finiteness test of its own
-    values. It returns ``(z, best)``. The full step schedule is restarted
+    deltas)``, the moves of coordinate js[k] by deltas[k] from ``state``, js
+    and deltas as Python lists, and receives ``(block, values, finite)``: one
+    shifted state and one objective value per move, and whether every value
+    is finite, so that only a block holding a non-finite value pays for the
+    finiteness test of its own values. It returns ``(z, best)``. The full step schedule is restarted
     from the incumbent until a whole cycle brings no improvement, which
     guards against unlucky step phasing near kinks.
 
@@ -124,16 +124,12 @@ def _poll(
     an improver and halves, down to ``span``, after an acceptance; it never
     crosses the end of a cycle and never holds more than ``row_cap()``
     moves, the cap being read as each block is planned.
-
-    The poll returns ``(z, best, trail)``, the trail recording, at
-    acceptances only, what ``_same_poll`` reads of it.
     """
     z = z0.tolist()  # Python floats plan faster than numpy scalars, to the same bits
     best = _finite(best)
     m = len(z)
-    step0 = _first_step(lo, hi)
+    step0 = (hi - lo) / 4.0
     evals = 0
-    widest, reach = 0.0, max(map(abs, z), default=0.0)
     width = span
     stop = tol
     for _ in range(50):
@@ -161,7 +157,7 @@ def _poll(
                 if f == m:
                     s, jj, f = s * _SHRINK, 0, 0
             if moves:
-                block, vals, finite = yield state, np.array(js), np.array(deltas)
+                block, vals, finite = yield state, js, deltas
                 # a non-finite value at or before the first improver raises below
                 hit = vals > best if finite else ~np.isfinite(vals) | (vals > best)
                 hit = hit.nonzero()[0]
@@ -173,10 +169,6 @@ def _poll(
             best = _finite(float(vals[i]))
             step, jj, nc = moves[i]
             z[jj] = nc
-            if step > widest:
-                widest = step
-            if abs(nc) > reach:
-                reach = abs(nc)
             state = block[i].copy()
             evals += i + 1
             j, fails = (jj + 1) % m, 0
@@ -185,22 +177,7 @@ def _poll(
         if best <= cycle_start or evals >= _EVAL_BUDGET:
             break
         stop = accepted
-    return np.array(z), best, _Trail(widest, reach, evals >= _EVAL_BUDGET)
-
-
-class _Trail(NamedTuple):
-    """What a poll leaves beside its ``(z, best)``: its largest accepted
-    step (0 if it accepted none), the largest |coordinate| of its start and
-    of the points it accepted, and whether ``_EVAL_BUDGET`` ran out."""
-
-    widest: float
-    reach: float
-    spent: bool
-
-
-def _first_step(lo: float, hi: float) -> float:
-    """The first step of the poll in [lo, hi]^m."""
-    return (hi - lo) / 4.0
+    return np.array(z), best
 
 
 def _finite(v: float) -> float:
@@ -216,12 +193,10 @@ def _lockstep(
     z0s: Sequence[np.ndarray],
     boxes: Sequence[tuple[float, float]],
     tol: float,
-    trails: list | None = None,
 ) -> list[tuple[np.ndarray, float]]:
     """``(z, best)`` of the poll from each start z0s[k] in its box [lo, hi]^m,
     ``(lo, hi) = boxes[k]``, in start order, ``state_of(z0)`` giving a
-    start's state. The polls' trails are appended to ``trails``, if given,
-    in start order.
+    start's state.
 
     At most ``fit`` polls are live: as many as fit ``_BLOCK_FLOATS`` with
     their smallest blocks stacked, for states of the size L of the first
@@ -232,7 +207,8 @@ def _lockstep(
     block requests of all live polls are stacked, shifted with one ``shift``
     call and valued with one ``values_of`` call; each poll gets its own rows
     back, with one finiteness flag for all the round's values. ``shift(base,
-    js, deltas)`` takes one state or one base row per move; a lone live poll
+    js, deltas)`` takes one state or one base row per move, and the round's
+    moves as two arrays built once from the polls' lists; a lone live poll
     passes its state as is, without a stacked copy of it per row. A poll
     plans each block within the ``_BLOCK_FLOATS`` shared by the polls live
     then, spanning at least max(1, _SPAN_FLOATS // L) coordinates. A poll's
@@ -249,15 +225,13 @@ def _lockstep(
         return max(2 * span, _BLOCK_FLOATS // (size * len(polls)))
 
     results: list = [None] * len(z0s)
-    trail_of: list = [None] * len(z0s)
     requests: dict = {}
 
     def answer(k: int, reply) -> None:
         try:
             requests[k] = polls[k].send(reply)
         except StopIteration as done:
-            z, best, trail_of[k] = done.value
-            results[k] = z, best
+            results[k] = done.value
             del polls[k]
 
     taken = 0
@@ -271,18 +245,17 @@ def _lockstep(
             for k in ks:
                 answer(k, None)
         if not requests:
-            if trails is not None:
-                trails += trail_of
             return results
         ks = list(requests)
         bases, jss, deltass = zip(*requests.values())
         requests.clear()
         counts = [len(js) for js in jss]
-        if len(ks) == 1:  # one live poll: its state is the base of every row
-            block = shift(bases[0], jss[0], deltass[0])
-        else:
-            block = shift(np.repeat(bases, counts, axis=0), np.concatenate(jss),
-                          np.concatenate(deltass))
+        n = sum(counts)
+        js = np.fromiter(chain.from_iterable(jss), np.intp, n)
+        deltas = np.fromiter(chain.from_iterable(deltass), float, n)
+        # one live poll: its state is the base of every row
+        base = bases[0] if len(ks) == 1 else np.repeat(bases, counts, axis=0)
+        block = shift(base, js, deltas)
         values = values_of(block)
         finite = bool(np.isfinite(values).all())
         a = 0
@@ -291,7 +264,7 @@ def _lockstep(
             a += c
 
 
-def _first_best(results: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
+def _first_best(results: Iterable[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float]:
     """The first ``(z, best)`` of highest value, in start order."""
     return max(results, key=operator.itemgetter(1))
 
@@ -336,13 +309,12 @@ class _OffsetSearch:
         self._tol = tol
 
     def polls(
-        self, z0s: Iterable[np.ndarray], radii: Sequence[float], trails: list | None = None
+        self, z0s: Iterable[np.ndarray], radii: Sequence[float]
     ) -> list[tuple[np.ndarray, float]]:
         """``(z, best)`` of the search from each start z0s[k] in the box
-        ||z||_inf <= radii[k], the polls' trails appended to ``trails`` if
-        given. A box of a radius new to this search is refused, if it can
-        leave the double range, before any start is taken from ``z0s``: a
-        lazily drawn start is never drawn for a refused box."""
+        ||z||_inf <= radii[k]. A box of a radius new to this search is
+        refused, if it can leave the double range, before any start is taken
+        from ``z0s``: a lazily drawn start is never drawn for a refused box."""
         for r in radii:
             if r not in self._checked:
                 _check_box(r, self._centre, self._reach)
@@ -351,9 +323,7 @@ class _OffsetSearch:
         if not z0s:
             return []
         boxes = [(-r, r) for r in radii]
-        return _lockstep(
-            self._values_of, self._shift, self._state_of, z0s, boxes, self._tol, trails
-        )
+        return _lockstep(self._values_of, self._shift, self._state_of, z0s, boxes, self._tol)
 
     def best(self, z0s: Sequence[np.ndarray], radius: float) -> np.ndarray:
         """The first best offset of the search from the starts z0s in the
@@ -412,94 +382,6 @@ def _pure_search(
     return strategy, radius
 
 
-def _halves_to(top: float, radius: float) -> bool:
-    """Whether the step schedule of the poll in the box of radius ``top``
-    passes through the first step in the box of ``radius``: with the
-    shrink 1/2, whether ``top / radius`` is a power of two to the bit."""
-    step, first = _first_step(-top, top), _first_step(-radius, radius)
-    while step > first:
-        step *= _SHRINK
-    return step == first
-
-
-def _ladder_tops(boxed: Sequence[float], fixed: Sequence[Sequence[np.ndarray]]) -> dict:
-    """``{(k, i): (t, j)}``: fixed[t][j] is the start that fixed start i of
-    radius boxed[k] is read off, the one of the largest radius boxed[t] with
-    the same bytes whose schedule ``_halves_to`` boxed[k]'s; (k, i) itself
-    where there is none. Equal bytes and exact halvings both carry over from
-    radius to radius, so every top is its own top."""
-    tops = {}
-    for k, starts in enumerate(fixed):
-        for i, z0 in enumerate(starts):
-            key = z0.tobytes()
-            tops[k, i] = next(
-                ((t, j) for t in range(len(boxed) - 1, k, -1)
-                 for j, z in enumerate(fixed[t])
-                 if z.tobytes() == key and _halves_to(boxed[t], boxed[k])),
-                (k, i),
-            )
-    return tops
-
-
-def _same_poll(trail: _Trail, radius: float) -> bool:
-    """Whether the poll of a start in the box of ``radius`` returns, bit for
-    bit, the ``(z, best)`` of the poll of the same start that left ``trail``
-    in a wider box whose schedule ``_halves_to`` this one's.
-
-    The wider poll reaches this box's first step s by exact shrinks. If it
-    accepted no step above s, every step above s failed from each cycle's
-    start point, so at s it stands where this poll starts each cycle: same
-    point, best, coordinate and stop. From there every candidate lies within
-    ``trail.reach + s`` of zero, as every point it moves from is the start or
-    an accepted one; if that sum, as a float, is at most ``radius``, no
-    candidate is clipped in either box, and the two polls value the same rows
-    in the same order. The extra failed moves only spend the wider poll's
-    budget: if it did not run out, neither does this one."""
-    first = _first_step(-radius, radius)
-    return not trail.spent and trail.widest <= first and trail.reach + first <= radius
-
-
-def _independent_polls(
-    search: _OffsetSearch,
-    boxed: Sequence[float],
-    starts: Sequence[tuple[list[np.ndarray], Iterator[np.ndarray]]],
-    multistart: int,
-) -> tuple[list[list], dict]:
-    """The results of the independent starts of each radius boxed[k], its
-    fixed starts and then its ``multistart`` random ones, ``starts[k]``,
-    and the fixed starts left pending, ``{(k, i): z0}``, whose result is
-    None. Each fixed start is polled at the top of its ladder
-    (``_ladder_tops``), with the random starts, in one ``_lockstep``; a fixed
-    start below the top reads its result off the top's poll where
-    ``_same_poll`` holds, and is left pending elsewhere."""
-    fixed = [f for f, _ in starts]
-    tops = _ladder_tops(boxed, fixed)
-    own = [[i for i in range(len(f)) if tops[k, i] == (k, i)] for k, f in enumerate(fixed)]
-    z0s = chain.from_iterable(
-        chain((fixed[k][i] for i in own[k]), randoms) for k, (_, randoms) in enumerate(starts)
-    )
-    rs = [r for r, ks in zip(boxed, own) for _ in range(len(ks) + multistart)]
-    trails: list[_Trail] = []
-    polled = zip(search.polls(z0s, rs, trails), trails)  # polls fills trails before zip reads it
-    independent: list[list] = []
-    top_trails = {}
-    for k, f in enumerate(fixed):
-        results: list = [None] * len(f)
-        for i in own[k]:
-            results[i], top_trails[k, i] = next(polled)
-        results += [next(polled)[0] for _ in range(multistart)]
-        independent.append(results)
-    pending = {}
-    for (k, i), top in tops.items():
-        if top == (k, i):
-            continue
-        if _same_poll(top_trails[top], boxed[k]):
-            independent[k][i] = independent[top[0]][top[1]]
-        else:
-            pending[k, i] = fixed[k][i]
-    return independent, pending
-
-
 def _probe_search(
     tree: ScenarioTree,
     pref: PreferenceSpec,
@@ -513,20 +395,9 @@ def _probe_search(
     finds with that ``box_radius``, no box doubling and no extra start. The
     radii are searched independently of each other.
 
-    Each radius starts from the zero and -phi offsets clipped to its box and
-    from its random starts. A fixed start is polled once for its ladder, the
-    radii that clip it to the same bytes and whose ratio to the largest of
-    them is a power of two to the bit: it is polled at that largest radius,
-    together with the random starts of every radius, each in its own box,
-    taken up in order by one ``_lockstep``. A smaller radius of the ladder
-    reads its ``(z, best)`` off that poll where ``_same_poll`` holds of its
-    trail: the poll accepted no step above the radius's first step, R/2, no
-    candidate it tried from its start and accepted points at R/2 or below
-    leaves the box of radius R, and ``_EVAL_BUDGET`` did not run out. Then
-    the poll of radius R makes the same moves in the same order and returns
-    the same result, bit for bit. The fixed starts left pending, if any, are
-    polled together in a second ``_lockstep``. The first best in each
-    radius's start order wins: zero, -phi, then the random starts. A poll's
+    Every start of every nonzero radius, the zero and -phi offsets clipped to
+    its box and then its random starts, is polled in its own box, in one
+    ``_lockstep``; the first best in each radius's start order wins. A poll's
     trajectory does not depend on the polls it shares its blocks with, so
     every strategy is bitwise that of one ``optimize_pure`` call per radius.
     """
@@ -534,13 +405,14 @@ def _probe_search(
     search = _OffsetSearch(tree, pref, x0, ref, 1, cfg.tol)
     boxed = [r for r in radii if r != 0.0]
     starts = [_pure_starts(search.phi, (), r, cfg) for r in boxed]
-    independent, pending = _independent_polls(search, boxed, starts, cfg.multistart)
-    polled = search.polls(pending.values(), [boxed[k] for k, _ in pending])
-    for (k, i), res in zip(pending, polled):
-        independent[k][i] = res
+    counts = [len(fixed) + cfg.multistart for fixed, _ in starts]
+    polled = iter(search.polls(
+        chain.from_iterable(chain(fixed, randoms) for fixed, randoms in starts),
+        [r for r, n in zip(boxed, counts) for _ in range(n)],
+    ))
     # the box of radius 0 is the single point theta = subhedge
     found = [ref.subhedge] if len(boxed) < len(radii) else []
-    return found + [search.atoms(_first_best(results)[0])[0] for results in independent]
+    return found + [search.atoms(_first_best(islice(polled, n))[0])[0] for n in counts]
 
 
 def optimize_pure(

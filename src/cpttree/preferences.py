@@ -32,7 +32,7 @@ def tk_distortion(gamma: float, p: float | np.ndarray) -> float | np.ndarray:
     """Inverse-S probability weighting p^g / (p^g + (1-p)^g)^(1/g); exact at 0 and 1."""
     _distortion_gamma(gamma)
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
         raise ValidationError("p must lie in [0, 1]")
     num = arr**gamma
     out = num / (num + (1.0 - arr) ** gamma) ** (1.0 / gamma)
@@ -306,8 +306,8 @@ def tk_pathology_threshold(k: float, gamma_plus: float, gamma_minus: float) -> f
     Both sides are monotone, so plain bisection to 1e-10 suffices. Returns
     None when there is no sign change on (0, 1).
     """
-    if k <= 0:
-        raise ValidationError("k must be positive")
+    if not 0.0 < k < np.inf:  # NaN fails too
+        raise ValidationError("k must be positive and finite")
 
     def f(p: float) -> float:
         return float(tk_distortion(gamma_plus, p)) - k * float(tk_distortion(gamma_minus, 1.0 - p))

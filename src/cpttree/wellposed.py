@@ -42,13 +42,14 @@ class IllposednessReport:
 
     def __post_init__(self) -> None:
         if self.verdict == VERDICT_ILL_POSED:
-            diverging_scan = self.scan is not None and all(
+            # at least two rows: all() of no adjacent pairs is true
+            diverging_scan = self.scan is not None and len(self.scan) >= 2 and all(
                 a[1] < b[1] for a, b in zip(self.scan, self.scan[1:])
             )
             if not ((is_inf(self.v_plus) and is_finite(self.v_minus)) or diverging_scan):
                 raise ValidationError(
                     "ill-posed verdict needs an infinite gain side with finite losses "
-                    "or a strictly growing scan"
+                    "or a strictly growing scan of at least two rows"
                 )
 
     def to_json_dict(self) -> dict:
@@ -228,19 +229,11 @@ def boundedness_probe(
     ``cfg.box_radius`` other than None is refused, and
     ``cfg.max_box_doublings`` does not apply.
 
-    The searches share one set-up. The zero and -phi starts are polled
-    once per ladder of radii that clip them to the same bytes, at its
-    largest radius R_top, together with the random starts of every radius.
-    A smaller radius R of the ladder, R_top / R a power of two to the bit,
-    reads its result off that poll where the poll accepted no step above
-    R/2, tried no candidate at R/2 or below outside the box of R, and did
-    not run out of budget: the poll of radius R would make the same moves
-    in the same order (``optimize._same_poll``). The other fixed starts are
-    polled together afterwards. The strategies are those of one
-    ``optimize_pure`` call per radius, bitwise: all of them are valued by
-    one kernel call on the stacked strategies, whose rows do not depend on
-    the block they share, and each is refused on overflow as ``cpt_value``
-    refuses it.
+    The searches share one set-up: every start of every radius is polled
+    in one lockstep. The strategies are those of one ``optimize_pure`` call
+    per radius, bitwise: all of them are valued by one kernel call on the
+    stacked strategies, whose rows do not depend on the block they share,
+    and each is refused on overflow as ``cpt_value`` refuses it.
     """
     if not check_conditions(pref).condition_a and not allow_condition_a_violation:
         raise ValidationError("boundedness probe refused: the decisive gate fails")

@@ -214,6 +214,16 @@ class TestPmfFiles:
         # P(X <= atom_i) = i/n exactly matches the uniform cdf at the atom
         assert np.allclose((atoms + 1.0) / 2.0, np.arange(1, 1001) / 1000.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf), (-1e308, 1e308),
+         (np.float64(-1e308), np.float64(1e308))],
+    )
+    def test_quantile_grid_refuses_non_finite_bounds(self, lo, hi):
+        # (0, inf) used to give inf atoms, and (-inf, 1) NaN atoms with a warning
+        with pytest.raises(ValidationError, match="finite"):
+            uniform_quantile_pmf(lo, hi, 3)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValidationError, match="pmf line"):
             parse_pmf("atom x 1\n")

@@ -9,7 +9,7 @@ start in turn returns, the first best in start order winning.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpttree import (
@@ -497,70 +497,3 @@ def test_single_step_coin_search_rows(monkeypatch, polls_after_last_improvement)
     for p in polls:
         assert p["after"] == p["sweep"] <= 2 * 7
     assert sum(blocks) <= 100 * 8  # rows of eight leaf outcomes
-
-
-# --- a poll read off the poll of a wider box ---------------------------------
-
-
-def peaked_objective(rng, m, radius):
-    """A seeded objective peaked at a point within 1.5 radius of zero in
-    each coordinate, with a coupling wiggle: its optimum lies in the box of
-    ``radius`` or just outside it."""
-    centre = rng.uniform(-1.5 * radius, 1.5 * radius, m)
-    scale = rng.uniform(0.5, 2.0, m)
-    power = rng.uniform(0.6, 1.8, m)
-    mix = rng.normal(size=m)
-
-    def f(z):
-        return float(-np.sum(scale * np.abs(z - centre) ** power) + 0.2 * np.sin(z @ mix / radius))
-
-    return f
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 3),
-    st.integers(1, 3),
-    st.sampled_from([0.25, 0.5, 1.0]),
-    st.sampled_from([1e-9, 1e-3, 0.1, 0.3, 1.0]),
-    st.sampled_from([None, 5, 20, 60]),
-)
-# each fails one check of ``_same_poll`` only, and the two polls differ there:
-# the budget ran out, a step above radius / 2 was accepted, a candidate left the box
-@example(9, 3, 2, 1.0, 0.1, 5)
-@example(6, 3, 1, 0.5, 0.3, 60)
-@example(1660, 1, 3, 0.25, 1e-3, 60)
-def test_a_poll_reads_off_the_poll_of_a_box_halving_to_it(seed, m, halvings, radius, tol, budget):
-    # the same start from a point of the grid radius / 8 in the box of
-    # ``radius`` and in a box 2, 4 or 8 times as wide, whose schedule
-    # reaches radius / 2 by exact halvings; tol lies above or below it
-    rng = np.random.default_rng(seed)
-    f = peaked_objective(rng, m, radius)
-    z0 = radius * rng.integers(-4, 5, m) / 8.0
-    wide = radius * 2.0**halvings
-    assert optimize._halves_to(wide, radius)
-
-    def values_of(block):
-        return np.array([f(row) for row in block])
-
-    trails = []
-    with pytest.MonkeyPatch.context() as mp:
-        if budget is not None:
-            mp.setattr(optimize, "_EVAL_BUDGET", budget)
-        (z_wide, v_wide), (z, v) = optimize._lockstep(
-            values_of, row_shift, np.copy, [z0, z0], [(-wide, wide), (-radius, radius)], tol, trails
-        )
-        assert_same(reference(f, z0, -radius, radius, tol), (z, v))
-    if optimize._same_poll(trails[0], radius):
-        assert z_wide.tobytes() == z.tobytes() and v_wide == v
-
-
-@pytest.mark.parametrize(
-    "wide,radius,halves",
-    [(2.0, 1.0, True), (64.0, 1.0, True), (4.0, 4.0, True), (6.0, 0.375, True),
-     (3.0, 1.0, False), (10.0, 1.0, False), (10.0, 3.0, False), (1.0, 2.0, False),
-     (2.0 + 2.0**-51, 1.0, False)],
-)
-def test_halves_to(wide, radius, halves):
-    assert optimize._halves_to(wide, radius) is halves

@@ -47,6 +47,12 @@ class TestTkDistortion:
         with pytest.raises(ValidationError):
             tk_distortion(1.5, 0.5)
 
+    @pytest.mark.parametrize("p", [float("nan"), np.array([0.2, np.nan, 0.8])])
+    def test_rejects_nan_p(self, p):
+        # NaN passed the range test and came back as a NaN weight
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            tk_distortion(0.6, p)
+
 
 class TestCheckConditions:
     def test_simple_valid_gate(self):
@@ -116,6 +122,12 @@ class TestPathologyThreshold:
     def test_identity_k_two(self):
         # p = 2 (1 - p)  =>  p = 2/3
         assert tk_pathology_threshold(2.0, 1.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_k_that_is_not_positive_and_finite(self, k):
+        # NaN used to give a bogus root near 3e-11, and inf None
+        with pytest.raises(ValidationError, match="k must be positive and finite"):
+            tk_pathology_threshold(k, 0.61, 0.69)
 
 
 class TestEnvelopes:
