@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tree import ScenarioTree, _fmt, content_lines, float_vector
+from .tree import ScenarioTree, _count, _fmt, content_lines, float_vector
 
 PMF_SUM_TOL = 1e-9
 # random directions per state, and their seed, of the ellipticity spot-check
@@ -50,7 +50,7 @@ def uniform_quantile_pmf(lo: float, hi: float, n_atoms: int) -> Pmf:
     Atom i sits at the i/n quantile, so the discrete cdf agrees with the
     continuous one at every atom.
     """
-    if n_atoms < 1:
+    if _count(n_atoms, "n_atoms") < 1:
         raise ValidationError("n_atoms must be >= 1")
     if not hi > lo:
         raise ValidationError("need hi > lo")

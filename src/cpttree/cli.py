@@ -9,6 +9,7 @@ Identical inputs produce byte-identical artifacts: floats are printed with
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -448,5 +449,23 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry, for ``python -m cpttree.cli`` and the ``cpttree``
+    script: ``main``, then exit with its code.
+
+    At exit the interpreter's last collections traverse every object the
+    collector tracks, about 2 * 10**4 once numpy is imported: a CLI call took
+    22-27 ms from the end of ``main`` to its exit, and 5-7 ms after
+    ``gc.freeze`` (2-core x86-64, CPython 3.11, numpy 2.4). The freeze moves
+    them out of the collector's reach; shutdown still flushes the streams,
+    runs the atexit handlers and tears down the modules. ``main`` never
+    freezes: a caller in the same process keeps running, and would keep its
+    garbage for good.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,7 +22,8 @@ from .choquet import cpt_value_from_outcomes  # noqa: F401  (cptbench/tracing.py
 from .errors import ValidationError
 from .preferences import Distortion, PreferenceSpec
 from .tree import (
-    PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree, check_masses, finite_capital,
+    PureStrategy, RandomizedStrategy, ReferenceSpec, ScenarioTree, _count, check_masses,
+    finite_capital,
 )
 
 
@@ -48,14 +49,6 @@ class SearchConfig:
             raise ValidationError("seed must be >= 0")
         if _count(self.max_box_doublings, "max_box_doublings") < 0:
             raise ValidationError("max_box_doublings must be >= 0")
-
-
-def _count(value: object, name: str) -> int:
-    """``value`` as an int; floats such as 1.5 (or 2.0) are refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def default_box_radius(x0: float) -> float:

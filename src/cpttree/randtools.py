@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tree import check_masses, float_vector
+from .tree import _count, check_masses, float_vector
 
 _MANTISSA_BUDGET = 52
 
@@ -47,10 +47,14 @@ def _digit(m, k: int):
 
 def _deal(m, l: int, bits: int) -> list:
     """Numerators of the round-robin deal: output i collects digits i + 1,
-    i + 1 + l, ... of m, ``bits`` of them, as an integer over 2**bits.
+    i + 1 + l, ... of m (a Python int or a uint64 array), ``bits`` of them,
+    as an integer over 2**bits.
 
     Every partial sum of the deal is a dyadic of at most 52 bits, so scaling
     these integers by 2**-bits gives the float digit-by-digit sum exactly.
+    The deal is a bitwise OR over the digits of m, so it is the OR of the
+    deals of m's bytes, each in its place, which ``_split_uniform_array``
+    reads from tables.
     """
     outs = []
     for i in range(l):
@@ -70,6 +74,7 @@ def split_uniform(u: float, l: int, bits: int) -> tuple[float, ...]:
     """
     if not 0.0 <= u < 1.0:
         raise ValidationError("u must lie in [0, 1)")
+    l, bits = _count(l, "l"), _count(bits, "bits")
     if l < 1 or bits < 1:
         raise ValidationError("need l >= 1 and bits >= 1")
     if bits * l > _MANTISSA_BUDGET:
@@ -79,13 +84,29 @@ def split_uniform(u: float, l: int, bits: int) -> tuple[float, ...]:
 
 
 def _split_uniform_array(u: np.ndarray, l: int, bits: int) -> list[np.ndarray]:
-    """``split_uniform`` of every entry of u (doubles in [0, 1)), as l columns."""
+    """``split_uniform`` of every entry of u (doubles in [0, 1)), as l columns.
+
+    Entry [j][b] of an output's table is that output's ``_deal`` of b << 8j,
+    byte j's digits at their places in the output, so the output is the OR
+    of one lookup per byte of m: 7 gathers in place of a shift, mask, shift
+    and OR, each over the whole array, per digit.
+    """
     m = np.ldexp(u, _MANTISSA_BUDGET).astype(np.uint64)
-    return [np.ldexp(v.astype(np.float64), -bits) for v in _deal(m, l, bits)]
+    # m < 2**52 fills the low 7 of its 8 bytes
+    byte = m.astype("<u8", copy=False).view(np.uint8).reshape(*m.shape, 8)
+    places = np.arange(7, dtype=np.uint64)[:, None] * np.uint64(8)
+    outs = []
+    for table in _deal(np.arange(256, dtype=np.uint64) << places, l, bits):
+        v = table[0][byte[..., 0]]
+        for j in range(1, 7):
+            v |= table[j][byte[..., j]]
+        outs.append(np.ldexp(v.astype(np.float64), -bits))
+    return outs
 
 
 def split_bitstring(bits_str: str, l: int) -> tuple[str, ...]:
     """Round-robin deal of an explicit 0/1 string; no precision budget."""
+    l = _count(l, "l")
     if l < 1:
         raise ValidationError("need l >= 1")
     if any(c not in "01" for c in bits_str):
@@ -99,6 +120,7 @@ def recombine_uniform(parts: Sequence[float], bits: int) -> float:
     Every part must lie in [0, 1), as u must for ``split_uniform``.
     """
     l = len(parts)
+    bits = _count(bits, "bits")
     if l < 1 or bits < 1:
         raise ValidationError("need at least one part and bits >= 1")
     if bits * l > _MANTISSA_BUDGET:
@@ -247,8 +269,17 @@ def uniformize(F: Callable[[float], float], x: float) -> float:
     return cdf(x)
 
 
+def _finite_samples(samples: Sequence[float]) -> np.ndarray:
+    """``samples`` as a float array; NaN and inf are refused, since NaN would
+    pass no comparison of a test and inf would decide its statistic."""
+    x = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("samples must be finite")
+    return x
+
+
 def ks_uniform_statistic(samples: Sequence[float]) -> float:
-    u = np.sort(np.asarray(samples, dtype=float))
+    u = np.sort(_finite_samples(samples))
     n = u.size
     if n == 0:
         raise ValidationError("need samples")
@@ -266,8 +297,8 @@ def ks_uniform_pass(samples: Sequence[float]) -> tuple[bool, float, float]:
 def chi2_independence_pass(a: Sequence[float], b: Sequence[float]) -> tuple[bool, float, float]:
     """Pearson chi-square independence test on a 4 x 4 quantile-binned
     contingency grid at significance 0.01."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x = _finite_samples(a)
+    y = _finite_samples(b)
     if x.size != y.size or x.size == 0:
         raise ValidationError("need two equal-length nonempty samples")
     qx = np.quantile(x, np.linspace(0, 1, _CHI2_BINS + 1)[1:-1])
@@ -316,17 +347,23 @@ def conditional_uniformize(
             )
             left_fn = lambda x, w: H(x - probe, w)
     flagged = left_fn is not None
-    if flagged and rng is None:
+    if not flagged:
+        # a NaN fails both comparisons
+        if not np.all((-1e-12 <= out) & (out <= 1.0 + 1e-12)):
+            raise ValidationError("conditional cdf values must lie in [0, 1]")
+        # min(1.0, max(0.0, u)) of each u, which makes -0.0 0.0 too
+        out[out <= 0.0] = 0.0
+        out[out > 1.0] = 1.0
+        return out, False
+    if rng is None:
         raise ValidationError("the randomized-rank extension needs a generator")
+    # in sample order, one draw of rng each
     for i, (x, w) in enumerate(samples):
         hi = out[i]
-        if flagged:
-            lo = float(left_fn(x, w))
-            if lo > hi + 1e-12:
-                raise ValidationError("H_left must not exceed H")
-            u = lo + float(rng.uniform()) * (hi - lo)
-        else:
-            u = hi
+        lo = float(left_fn(x, w))
+        if lo > hi + 1e-12:
+            raise ValidationError("H_left must not exceed H")
+        u = lo + float(rng.uniform()) * (hi - lo)
         if not -1e-12 <= u <= 1.0 + 1e-12:
             raise ValidationError("conditional cdf values must lie in [0, 1]")
         out[i] = min(1.0, max(0.0, u))
@@ -351,6 +388,7 @@ def _random_joint(rng: np.random.Generator, max_atoms: int = 20) -> FiniteJoint:
 
 def toolkit_self_test(seed: int = SELF_TEST_SEED) -> dict:
     """Deterministic statistical suite; every check is seeded and reproducible."""
+    seed = _count(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)

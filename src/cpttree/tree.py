@@ -8,6 +8,7 @@ the initial capital plus the path sum of allocation-increment dot products.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -30,6 +31,14 @@ def _fmt(x: float) -> str:
 def float_vector(v: Sequence[float] | float) -> tuple[float, ...]:
     """A scalar as a 1-vector, a sequence as a tuple, of floats."""
     return (float(v),) if np.isscalar(v) else tuple(float(x) for x in v)
+
+
+def _count(value: object, name: str) -> int:
+    """``value`` as an int; floats such as 1.5 (or 2.0) are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, not {value!r}") from None
 
 
 def check_masses(masses: Sequence[float], law: str, mass: str, masses_name: str) -> None:

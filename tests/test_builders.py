@@ -224,6 +224,15 @@ class TestPmfFiles:
         with pytest.raises(ValidationError, match="finite"):
             uniform_quantile_pmf(lo, hi, 3)
 
+    @pytest.mark.parametrize("n_atoms", [2.5, 2.0, "3"])
+    def test_quantile_grid_refuses_a_non_integer_count(self, n_atoms):
+        # 2.5 gave three atoms of mass 0.4, one at 1.2 above hi
+        with pytest.raises(ValidationError, match="n_atoms must be an integer"):
+            uniform_quantile_pmf(0.0, 1.0, n_atoms)
+
+    def test_quantile_grid_takes_a_numpy_integer(self):
+        assert uniform_quantile_pmf(0.0, 1.0, np.int64(4)) == uniform_quantile_pmf(0.0, 1.0, 4)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValidationError, match="pmf line"):
             parse_pmf("atom x 1\n")

@@ -452,6 +452,54 @@ class TestToolkit:
         assert payload["all_passed"] is True
 
 
+class TestProcessEntry:
+    @pytest.mark.parametrize("code", [0, 2])
+    def test_run_freezes_once_after_main_and_exits_with_its_code(
+        self, tmp_path, coin_market_file, monkeypatch, code
+    ):
+        out = tmp_path / "out"
+        market = coin_market_file if code == 0 else tmp_path / "missing.mkt"
+        argv = ["value", "--market", str(market), "--theta", "0.25", "--out", str(out)]
+        events = []
+
+        def main_then_record():
+            events.append(("main", main(argv)))
+            return events[-1][1]
+
+        monkeypatch.setattr(cli, "main", main_then_record)
+        # the fake never freezes this process
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append(("freeze", out.exists())))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == code
+        # with the manifest written for a finished run, and nothing for a refused one
+        assert events == [("main", code), ("freeze", code == 0)]
+        assert (out / "manifest.json").exists() == (code == 0)
+
+    def test_main_never_freezes(self, tmp_path, coin_market_file, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
+        assert main(["value", "--market", str(coin_market_file), "--theta", "0.25",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["toolkit", "self-test", "--out", str(tmp_path / "toolkit")]) == 0
+        assert calls == []
+
+    def test_module_entry_writes_what_main_writes(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cpttree.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cpttree.cli", "toolkit", "self-test",
+             "--out", str(tmp_path / "fresh")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert main(["toolkit", "self-test", "--out", str(tmp_path / "main")]) == 0
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert names == ["manifest.json", "selftest.json"]
+        assert sorted(p.name for p in (tmp_path / "fresh").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+
 class TestManifest:
     def test_manifest_names_inputs_and_outputs(self, tmp_path, coin_market_file):
         out = tmp_path / "out"

@@ -175,6 +175,26 @@ class TestSplitUniform:
         with pytest.raises(ValidationError, match=r"\[0, 1\)"):
             recombine_uniform(parts, 4)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: split_uniform(0.5, 2.0, 8), "l"),
+            (lambda: split_uniform(0.5, 2, 8.0), "bits"),
+            (lambda: recombine_uniform((0.5, 0.25), 8.0), "bits"),
+            (lambda: split_bitstring("0101", 2.0), "l"),
+        ],
+        ids=["split-l", "split-bits", "recombine-bits", "bitstring-l"],
+    )
+    def test_non_integer_counts_are_validation_errors(self, call, name):
+        # each raised TypeError from range
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integer_counts(self):
+        assert split_uniform(0.8125, np.int64(2), np.int64(2)) == (0.5, 0.75)
+        assert recombine_uniform((0.5, 0.75), np.int64(2)) == 0.8125
+        assert split_bitstring("110100", np.int64(2)) == ("100", "110")
+
     def test_bitstring_deal(self):
         assert split_bitstring("110100", 2) == ("100", "110")
         assert split_bitstring("abc".replace("a", "0").replace("b", "1").replace("c", "0"), 3) == (
@@ -390,6 +410,23 @@ class TestConditionalUniformize:
         ok, stat, crit = ks_uniform_pass(u)
         assert ok, (stat, crit)
 
+    def test_unflagged_output_is_clipped_as_each_sample_was(self):
+        values = [0.25, -1e-13, -0.0, 0.0, 1.0 + 1e-13, 1.0, 0.5 - 2.0**-54]
+        samples = [(float(i), 0.0) for i in range(len(values))]
+        # the atom probe just below each x reads the same value
+        u, flagged = conditional_uniformize(samples, lambda x, w_: values[round(x)])
+        assert not flagged
+        expected = [min(1.0, max(0.0, v)) for v in values]
+        assert u.tobytes() == np.array(expected).tobytes()
+        assert not np.signbit(u).any()
+
+    @pytest.mark.parametrize("bad", [-1e-11, 1.0 + 1e-11, math.nan])
+    def test_unflagged_output_out_of_range_is_refused(self, bad):
+        samples = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        H = lambda x, w_: bad if round(x) == 1 else 0.5
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            conditional_uniformize(samples, H)
+
     def test_cdf_is_evaluated_once_per_sample_and_probe(self):
         samples, _ = self.shifted_exponential_samples(n=300)
         calls = []
@@ -421,10 +458,40 @@ def test_chi2_table_matches_the_scattered_float_counts():
         assert chi2_independence_pass(a, b)[1:] == (stat, randtools.CHI2_CRITICAL_001_DF9)
 
 
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ks_refuses_non_finite_samples(self, bad):
+        # NaN gave the statistic NaN, inf the statistic inf
+        with pytest.raises(ValidationError, match="finite"):
+            randtools.ks_uniform_statistic([0.2, bad])
+        with pytest.raises(ValidationError, match="finite"):
+            ks_uniform_pass([0.2, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_chi2_refuses_non_finite_samples(self, bad, side):
+        # one NaN was reported as a degenerate binning
+        rng = np.random.default_rng(109)
+        samples = [rng.random(400), rng.random(400)]
+        samples[side][7] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            chi2_independence_pass(*samples)
+
+
 class TestSelfTest:
     def test_negative_seed_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="seed"):
             toolkit_self_test(-2)
+
+    def test_non_integer_seed_is_a_validation_error(self):
+        # numpy's TypeError escaped
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            toolkit_self_test(2.5)
+
+    def test_seed_is_reported_as_the_integer_it_ran(self):
+        # True ran and reported "seed": true
+        report = toolkit_self_test(True)
+        assert type(report["seed"]) is int and report == toolkit_self_test(1)
 
     def test_documented_seed_passes_everything(self):
         report = toolkit_self_test()
