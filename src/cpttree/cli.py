@@ -8,8 +8,14 @@ Identical inputs produce byte-identical artifacts: floats are printed with
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":
+    # ``python -m cpttree.cli``: no collection while the imports below load
+    # numpy; ``run`` freezes what they made and turns the collector back on
+    gc.disable()
+
+import argparse
 import hashlib
 import json
 import math
@@ -453,15 +459,28 @@ def run() -> None:
     """The process entry, for ``python -m cpttree.cli`` and the ``cpttree``
     script: ``main``, then exit with its code.
 
-    At exit the interpreter's last collections traverse every object the
-    collector tracks, about 2 * 10**4 once numpy is imported: a CLI call took
-    22-27 ms from the end of ``main`` to its exit, and 5-7 ms after
-    ``gc.freeze`` (2-core x86-64, CPython 3.11, numpy 2.4). The freeze moves
-    them out of the collector's reach; shutdown still flushes the streams,
-    runs the atexit handlers and tears down the modules. ``main`` never
-    freezes: a caller in the same process keeps running, and would keep its
-    garbage for good.
+    Both freezes move objects out of the cyclic collector's reach; shutdown
+    still flushes the streams, runs the atexit handlers and tears down the
+    modules. Figures are from a 2-core x86-64 machine, CPython 3.11 and
+    numpy 2.4:
+
+    - before ``main``: the module entry imports with the collector off, so
+      the ~35 passes it made while numpy loaded, 5-12 ms a call, are gone.
+      What the imports made lives until exit, so those passes found no
+      garbage. The freeze keeps it out of ``main``'s passes, and ``main``
+      runs with the collector on, as a long search needs. The script gets
+      only this freeze, since its wrapper has imported this module with the
+      collector on;
+    - after ``main``: the interpreter's last collections at exit traverse
+      every object the collector tracks, about 2 * 10**4. A call took
+      22-27 ms from the end of ``main`` to its exit, and 5-7 ms after the
+      freeze.
+
+    ``main`` never touches the collector: a caller in the same process keeps
+    running, and would keep its garbage for good.
     """
+    gc.freeze()
+    gc.enable()
     code = main()
     gc.freeze()
     sys.exit(code)

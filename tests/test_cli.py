@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -454,7 +455,7 @@ class TestToolkit:
 
 class TestProcessEntry:
     @pytest.mark.parametrize("code", [0, 2])
-    def test_run_freezes_once_after_main_and_exits_with_its_code(
+    def test_run_freezes_before_and_after_main_and_exits_with_its_code(
         self, tmp_path, coin_market_file, monkeypatch, code
     ):
         out = tmp_path / "out"
@@ -463,26 +464,64 @@ class TestProcessEntry:
         events = []
 
         def main_then_record():
-            events.append(("main", main(argv)))
+            events.append(("main", main(argv), gc.isenabled()))
             return events[-1][1]
 
         monkeypatch.setattr(cli, "main", main_then_record)
-        # the fake never freezes this process
+        # the fakes never freeze this process, nor switch its collector
         monkeypatch.setattr(cli.gc, "freeze", lambda: events.append(("freeze", out.exists())))
+        monkeypatch.setattr(cli.gc, "enable", lambda: events.append(("enable",)))
         with pytest.raises(SystemExit) as exc:
             cli.run()
         assert exc.value.code == code
-        # with the manifest written for a finished run, and nothing for a refused one
-        assert events == [("main", code), ("freeze", code == 0)]
+        # main runs with the collector on; the second freeze comes with the
+        # manifest written for a finished run, and with nothing for a refused one
+        assert events == [("freeze", False), ("enable",), ("main", code, True), ("freeze", code == 0)]
         assert (out / "manifest.json").exists() == (code == 0)
 
     def test_main_never_freezes(self, tmp_path, coin_market_file, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append(1))
+        for name in ("freeze", "enable", "disable"):
+            monkeypatch.setattr(cli.gc, name, lambda name=name: calls.append(name))
         assert main(["value", "--market", str(coin_market_file), "--theta", "0.25",
                      "--out", str(tmp_path / "out")]) == 0
         assert main(["toolkit", "self-test", "--out", str(tmp_path / "toolkit")]) == 0
         assert calls == []
+
+    def test_module_entry_imports_without_collecting(self, tmp_path):
+        # each collector pass of a module-entry run, with whether numpy was
+        # loading or loaded and whether run had frozen the imports yet
+        script = (
+            "import gc, json, runpy, sys\n"
+            "passes = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append("
+            "('numpy' in sys.modules, gc.get_freeze_count() > 0)))\n"
+            "sys.argv = ['cpttree.cli', 'toolkit', 'self-test', '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('cpttree.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps([exc.code, passes]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cpttree.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        code, passes = json.loads(fresh.stdout)
+        assert code == 0
+        # the self-test's own garbage is collected, after the freeze
+        assert [True, True] in passes
+        assert [True, False] not in passes
+
+    def test_import_leaves_the_collector_alone(self):
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, cpttree.cli; print(gc.isenabled(), gc.get_freeze_count())"],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cpttree.__file__))},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert fresh.stdout.split() == ["True", "0"], fresh.stderr
 
     def test_module_entry_writes_what_main_writes(self, tmp_path):
         src = os.path.dirname(os.path.dirname(cpttree.__file__))

@@ -420,8 +420,9 @@ class TestConditionalUniformize:
         assert u.tobytes() == np.array(expected).tobytes()
         assert not np.signbit(u).any()
 
-    @pytest.mark.parametrize("bad", [-1e-11, 1.0 + 1e-11, math.nan])
+    @pytest.mark.parametrize("bad", [-1e-11, 1.0 + 1e-11, math.nan, -math.inf, math.inf])
     def test_unflagged_output_out_of_range_is_refused(self, bad):
+        # an infinite value reached the atom probe, whose inf - inf warned
         samples = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
         H = lambda x, w_: bad if round(x) == 1 else 0.5
         with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
@@ -456,6 +457,56 @@ def test_chi2_table_matches_the_scattered_float_counts():
         expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
         stat = float(np.sum((table - expected) ** 2 / expected))
         assert chi2_independence_pass(a, b)[1:] == (stat, randtools.CHI2_CRITICAL_001_DF9)
+
+
+# sample values for the quantile bins: signed zeros, ties, negative and large
+# values, kept below 1e307 so that no difference of two overflows
+bin_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -1.1, 2.0**-1074, 1e307, -1e307]),
+    st.floats(-1e307, 1e307, allow_nan=False),
+)
+
+
+@st.composite
+def binned_samples(draw):
+    """1 to 64 samples in shuffled runs of equal values, so that runs straddle
+    the order statistics an edge interpolates."""
+    runs = draw(st.lists(st.tuples(bin_values, st.integers(1, 24)), min_size=1, max_size=24))
+    x = [v for v, k in runs for _ in range(k)][: draw(st.integers(1, 64))]
+    return np.array(draw(st.permutations(x)))
+
+
+def check_bins(x):
+    edges = randtools._quantile_edges(x)
+    assert edges.tobytes() == np.quantile(x, [0.25, 0.5, 0.75]).tobytes()
+    assert np.array_equal(randtools._bin(x), np.searchsorted(edges, x, side="right"))
+
+
+class TestQuantileBins:
+    @settings(max_examples=400, deadline=None)
+    @given(binned_samples())
+    # numpy's lerp takes b - d (1 - t) here, one ulp from the one-sided a + d t
+    @example(np.array([0.1, -1.1]))
+    @example(np.array([-0.0]))
+    @example(np.array([0.0, -0.0, 0.0, -0.0, 0.0]))
+    def test_edges_are_numpys_quantiles_and_cells_its_searchsorted(self, x):
+        check_bins(x)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_every_size_up_to_64(self, n):
+        rng = np.random.default_rng(110 + n)
+        check_bins(rng.normal(size=n) * 1e3)
+        # ties: few distinct values, signed zeros among them
+        check_bins(rng.choice([-2.5, -0.0, 0.0, 0.75, 1e300], size=n))
+
+    def test_self_test_imports_no_numpy_ma(self):
+        # np.quantile's np.unique imported numpy.ma, about 10 ms a fresh process
+        code = (
+            "import sys\n"
+            "from cpttree import toolkit_self_test\n"
+            "print(toolkit_self_test()['all_passed'], 'numpy.ma' in sys.modules)\n"
+        )
+        assert TestSplitUniform.run_fresh(code) == "True False"
 
 
 class TestNonFiniteSamples:
