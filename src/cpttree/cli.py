@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--benchmark", type=_finite_float, default=0.0)
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--box", type=_finite_float, default=None)
-    sp.add_argument("--multistart", type=int, default=4)
+    sp.add_argument("--multistart", type=_int_at_least(1), default=4)
     sp.add_argument("--atoms", type=_int_at_least(1), default=1)
     _add_common(sp)
     sp.set_defaults(func=_cmd_optimize)
@@ -477,11 +477,16 @@ def run() -> None:
       freeze.
 
     ``main`` never touches the collector: a caller in the same process keeps
-    running, and would keep its garbage for good.
+    running, and would keep its garbage for good. A usage error raises
+    argparse's ``SystemExit`` out of ``main``; ``run`` freezes after it too
+    and exits with its code.
     """
     gc.freeze()
     gc.enable()
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     gc.freeze()
     sys.exit(code)
 

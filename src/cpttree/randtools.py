@@ -23,6 +23,9 @@ from .errors import ValidationError
 from .tree import _count, check_masses, float_vector
 
 _MANTISSA_BUDGET = 52
+# uniforms ``_split_uniform_array`` draws and deals at a time: its temporaries
+# are a few 64 KiB arrays, whatever the number of uniforms
+_DEAL_FLOATS = 1 << 13
 
 # Asymptotic Kolmogorov critical value at significance 0.01, scaled by 1/sqrt(n).
 KS_CRITICAL_001 = 1.63
@@ -83,24 +86,35 @@ def split_uniform(u: float, l: int, bits: int) -> tuple[float, ...]:
     return tuple(math.ldexp(v, -bits) for v in _deal(m, l, bits))
 
 
-def _split_uniform_array(u: np.ndarray, l: int, bits: int) -> list[np.ndarray]:
-    """``split_uniform`` of every entry of u (doubles in [0, 1)), as l columns.
+def _split_uniform_array(
+    draw: Callable[[int], np.ndarray], n: int, l: int, bits: int
+) -> list[np.ndarray]:
+    """``split_uniform`` of n doubles in [0, 1), as l columns.
+
+    ``draw(k)`` returns the next k of them. A generator's ``random`` drawn
+    in blocks gives the bytes, and leaves the state, of one ``random(n)``
+    call. Blocks of at most ``_DEAL_FLOATS`` are dealt straight into the
+    columns, so no temporary grows with n.
 
     Entry [j][b] of an output's table is that output's ``_deal`` of b << 8j,
     byte j's digits at their places in the output, so the output is the OR
     of one lookup per byte of m: 7 gathers in place of a shift, mask, shift
-    and OR, each over the whole array, per digit.
+    and OR, each over the whole block, per digit.
     """
-    m = np.ldexp(u, _MANTISSA_BUDGET).astype(np.uint64)
-    # m < 2**52 fills the low 7 of its 8 bytes
-    byte = m.astype("<u8", copy=False).view(np.uint8).reshape(*m.shape, 8)
     places = np.arange(7, dtype=np.uint64)[:, None] * np.uint64(8)
-    outs = []
-    for table in _deal(np.arange(256, dtype=np.uint64) << places, l, bits):
-        v = table[0][byte[..., 0]]
-        for j in range(1, 7):
-            v |= table[j][byte[..., j]]
-        outs.append(np.ldexp(v.astype(np.float64), -bits))
+    tables = _deal(np.arange(256, dtype=np.uint64) << places, l, bits)
+    outs = [np.empty(n) for _ in range(l)]
+    for start in range(0, n, _DEAL_FLOATS):
+        stop = min(n, start + _DEAL_FLOATS)
+        m = np.ldexp(draw(stop - start), _MANTISSA_BUDGET).astype("<u8")
+        # m < 2**52 fills the low 7 of its 8 bytes
+        byte = m.view(np.uint8).reshape(-1, 8)
+        for out, table in zip(outs, tables):
+            v = table[0][byte[:, 0]]
+            for j in range(1, 7):
+                v |= table[j][byte[:, j]]
+            # exact: v < 2**bits <= 2**52
+            np.ldexp(v, -bits, out=out[start:stop])
     return outs
 
 
@@ -324,9 +338,9 @@ def _quantile_edges(x: np.ndarray) -> np.ndarray:
 
 def _bin(x: np.ndarray) -> np.ndarray:
     """The quantile bin of each sample, ``np.searchsorted(edges, x, side="right")``:
-    the number of edges at or below it."""
+    the number of edges at or below it, as one byte."""
     edges = _quantile_edges(x)
-    cell = np.zeros(x.size, dtype=np.intp)
+    cell = np.zeros(x.size, dtype=np.uint8)
     for e in edges:
         cell += x >= e
     return cell
@@ -342,7 +356,9 @@ def chi2_independence_pass(a: Sequence[float], b: Sequence[float]) -> tuple[bool
     cell = _bin(x)
     cell *= _CHI2_BINS
     cell += _bin(y)
-    table = np.bincount(cell, minlength=_CHI2_BINS**2).reshape(_CHI2_BINS, -1)
+    # np.bincount would copy the byte cells to intp
+    table = np.array([np.count_nonzero(cell == k) for k in range(_CHI2_BINS**2)])
+    table = table.reshape(_CHI2_BINS, -1)
     n = x.size
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     if np.any(expected == 0.0):
@@ -440,8 +456,8 @@ def toolkit_self_test(seed: int = SELF_TEST_SEED) -> dict:
     exact = split_uniform(0.5, 2, 8) == (0.5, 0.0) and split_uniform(0.75, 2, 8) == (0.5, 0.5)
     record("split_uniform_dyadic_exact", exact, 0.0 if exact else 1.0, 0.5)
 
-    first, second = _split_uniform_array(rng.random(100_000), 2, 26)
-    ok, stat, crit = chi2_independence_pass(first, second)
+    # passed on, not named, so the two 0.8 MB columns are freed before the checks below
+    ok, stat, crit = chi2_independence_pass(*_split_uniform_array(rng.random, 100_000, 2, 26))
     record("split_uniform_chi2_independence", ok, stat, crit)
 
     dyadic = [i / 64.0 for i in range(64)]
@@ -461,8 +477,9 @@ def toolkit_self_test(seed: int = SELF_TEST_SEED) -> dict:
 
     w = rng.uniform(0.0, 2.0, 10_000)
     xw = w + rng.exponential(size=10_000)
+    # Python floats, 8 bytes smaller each than numpy scalars of the same values
     u_cond, _ = conditional_uniformize(
-        list(zip(xw, w)), lambda x_, w_: 1.0 - np.exp(-(x_ - w_))
+        list(zip(xw.tolist(), w.tolist())), lambda x_, w_: 1.0 - np.exp(-(x_ - w_))
     )
     ok1, stat1, crit1 = ks_uniform_pass(u_cond)
     record("conditional_uniformize_ks", ok1, stat1, crit1)

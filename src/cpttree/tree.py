@@ -427,12 +427,28 @@ def validate_subhedge(tree: ScenarioTree, ref: ReferenceSpec) -> tuple[bool, int
     return True, None
 
 
+def _fmt_columns(values: np.ndarray) -> list[list[str]]:
+    """``_fmt`` of each entry of a 2-D float array, as one list per column.
+
+    Each distinct value is formatted once; values are told apart by their
+    bits, which keeps -0.0 and 0.0 apart.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[index.reshape(values.shape).T].tolist()
+
+
 def emit_market(tree: ScenarioTree) -> str:
-    """Line-oriented market text; canonical node order makes round-trips byte-stable."""
-    lines = [f"T={tree.horizon} d={tree.asset_dim}"]
-    for i in range(1, tree.n_nodes):
-        ds = " ".join(_fmt(v) for v in tree.increments[i])
-        lines.append(f"node {i} parent {tree.parent[i]} p {_fmt(tree.prob[i])} dS {ds}")
+    """Line-oriented market text; canonical node order makes round-trips byte-stable.
+
+    Trees repeat their probabilities and increments, so ``_fmt_columns``
+    formats each distinct value once.
+    """
+    d = tree.asset_dim
+    columns = _fmt_columns(np.column_stack([tree.prob_array[1:], tree.increment_matrix[1:]]))
+    line = "node %d parent %d p %s dS " + " ".join(["%s"] * d)
+    lines = [f"T={tree.horizon} d={d}"]
+    lines += map(line.__mod__, zip(range(1, tree.n_nodes), tree.parent[1:], *columns))
     return "\n".join(lines) + "\n"
 
 

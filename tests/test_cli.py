@@ -382,11 +382,13 @@ class TestProbeCommand:
 
     @pytest.mark.parametrize("extra", [["--multistart", "0"], ["--seed", "-1"], ["--x0", "inf"]])
     def test_out_of_range_options_exit_2(self, tmp_path, trinomial_market_file, extra):
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["probe", "--market", str(trinomial_market_file), *extra, "--out", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()
+        # optimize parses these options as probe does
+        for command in ("probe", "optimize"):
+            out = tmp_path / command
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--market", str(trinomial_market_file), *extra, "--out", str(out)])
+            assert exc.value.code == 2
+            assert not out.exists()
 
 
 class TestIllposedDemo:
@@ -478,6 +480,17 @@ class TestProcessEntry:
         # manifest written for a finished run, and with nothing for a refused one
         assert events == [("freeze", False), ("enable",), ("main", code, True), ("freeze", code == 0)]
         assert (out / "manifest.json").exists() == (code == 0)
+
+    def test_run_freezes_after_a_usage_error(self, monkeypatch):
+        # argparse's SystemExit(2) leaves main; run freezes after it all the same
+        events = []
+        monkeypatch.setattr(cli.sys, "argv", ["cpttree", "check-wellposed"])
+        monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli.gc, "enable", lambda: events.append("enable"))
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 2
+        assert events == ["freeze", "enable", "freeze"]
 
     def test_main_never_freezes(self, tmp_path, coin_market_file, monkeypatch):
         calls = []

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ uniforms = st.one_of(
 )
 
 
+def split_array(us, l, bits):
+    """``_split_uniform_array`` of the entries of us, drawn in order in the
+    block sizes it asks for."""
+    u = np.asarray(us, dtype=float)
+    sizes = []
+
+    def draw(k):
+        sizes.append(k)
+        return u[sum(sizes) - k:sum(sizes)]
+
+    cols = randtools._split_uniform_array(draw, u.size, l, bits)
+    assert sum(sizes) == u.size and all(0 < k <= randtools._DEAL_FLOATS for k in sizes)
+    return cols
+
+
 def check_recombine(parts, bits):
     got = recombine_uniform(parts, bits)
     assert type(got) is float
@@ -119,11 +135,31 @@ class TestSplitUniformReference:
     def test_array_split_matches_reference(self, shape, us):
         l, bits = shape
         us = [*us, *SPECIAL_UNIFORMS]
-        cols = randtools._split_uniform_array(np.array(us), l, bits)
+        cols = split_array(us, l, bits)
         assert len(cols) == l
         for j, u in enumerate(us):
             row = [col[j] for col in cols]
             assert as_bytes(row) == as_bytes(ref_split_uniform(u, l, bits))
+
+    @pytest.mark.parametrize("n", [1, 2**13 - 1, 2**13, 2**13 + 1, 100_000])
+    def test_blockwise_split_matches_split_uniform(self, n):
+        u = np.random.default_rng(n).random(n)
+        # the special values at each block's first and last entries
+        edges = sorted({*range(0, n, 2**13), *range(2**13 - 1, n, 2**13), n - 1})
+        u[edges] = np.resize(SPECIAL_UNIFORMS, len(edges))
+        first, second = split_array(u, 2, 26)
+        assert first.size == second.size == n
+        got = np.stack([first, second], axis=1).tobytes()
+        assert got == as_bytes(v for x in u.tolist() for v in split_uniform(x, 2, 26))
+
+    def test_block_draws_are_one_generator_call(self):
+        # the self-test's uniforms are the bytes, and leave the state, of random(100_000)
+        rng, whole = np.random.default_rng(112), np.random.default_rng(112)
+        drawn = []
+        randtools._split_uniform_array(lambda k: drawn.append(rng.random(k)) or drawn[-1], 100_000, 2, 26)
+        assert [d.size for d in drawn] == 12 * [2**13] + [100_000 - 12 * 2**13]
+        assert np.concatenate(drawn).tobytes() == whole.random(100_000).tobytes()
+        assert rng.bit_generator.state == whole.bit_generator.state
 
     @settings(max_examples=150, deadline=None)
     @given(deal_shapes(), st.data())
@@ -479,7 +515,9 @@ def binned_samples(draw):
 def check_bins(x):
     edges = randtools._quantile_edges(x)
     assert edges.tobytes() == np.quantile(x, [0.25, 0.5, 0.75]).tobytes()
-    assert np.array_equal(randtools._bin(x), np.searchsorted(edges, x, side="right"))
+    cells = randtools._bin(x)
+    assert cells.dtype == np.uint8
+    assert np.array_equal(cells, np.searchsorted(edges, x, side="right"))
 
 
 class TestQuantileBins:
@@ -543,6 +581,18 @@ class TestSelfTest:
         # True ran and reported "seed": true
         report = toolkit_self_test(True)
         assert type(report["seed"]) is int and report == toolkit_self_test(1)
+
+    def test_traced_peak_stays_under_3_mib(self):
+        # 4.6 MiB when all 10**5 uniforms, their mantissas and each column's
+        # temporaries were live at once
+        toolkit_self_test()
+        tracemalloc.start()
+        try:
+            toolkit_self_test()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_documented_seed_passes_everything(self):
         report = toolkit_self_test()

@@ -17,6 +17,7 @@ from cpttree import (
     terminal_wealth,
     validate_subhedge,
 )
+from cpttree.tree import _fmt
 
 
 def one_step_coin():
@@ -384,11 +385,11 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def markets(draw):
-    """Trees of horizon 1-3 and dimension 1-2 with any finite increments;
-    each family's last probability closes the sum to 1."""
+def markets(draw, max_dim=2, values=finite):
+    """Trees of horizon 1-3 and dimension 1 to ``max_dim`` with increments
+    drawn from ``values``; each family's last probability closes the sum to 1."""
     horizon = draw(st.integers(1, 3))
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, max_dim))
     parent, prob, incs = [-1], [1.0], [(0.0,) * d]
     frontier = [0]
     for _ in range(horizon):
@@ -401,13 +402,35 @@ def markets(draw):
             for p in ps:
                 parent.append(node)
                 prob.append(p)
-                incs.append(tuple(draw(finite) for _ in range(d)))
+                incs.append(tuple(draw(values) for _ in range(d)))
                 nxt.append(len(parent) - 1)
         frontier = nxt
     return ScenarioTree(horizon, d, tuple(parent), tuple(prob), tuple(incs))
 
 
+def ref_emit_market(tree):
+    """``emit_market`` formatting every value on its own, the reference."""
+    lines = [f"T={tree.horizon} d={tree.asset_dim}"]
+    for i in range(1, tree.n_nodes):
+        ds = " ".join(_fmt(v) for v in tree.increments[i])
+        lines.append(f"node {i} parent {tree.parent[i]} p {_fmt(tree.prob[i])} dS {ds}")
+    return "\n".join(lines) + "\n"
+
+
+# signed zeros, subnormals and huge values, often repeated
+emit_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 2.0**-1074, 1e300, -1e300, 0.5]),
+    finite,
+)
+
+
 class TestMarketFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_emit_formats_each_value_as_alone(self, data):
+        tree = data.draw(markets(max_dim=3, values=emit_values))
+        assert emit_market(tree) == ref_emit_market(tree)
+
     def test_round_trip_is_byte_stable(self):
         tree = build_iid_market([(0.25, 1.0), (0.25, -1.0), (0.5, 0.125)], 2)
         text = emit_market(tree)
