@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import CertificateError, ValidationError
-from .tree import PROB_TOL, ScenarioTree, segment_sums
+from .tree import PROB_TOL, ScenarioTree, _count, segment_sums
 
 # floats of one (candidate, child) temporary in the tail pass
 _TAIL_FLOATS = 1 << 16
@@ -116,6 +116,7 @@ def unit_directions(d: int, n_samples: int) -> np.ndarray:
     """Quasi-uniform unit vectors: exact +-1 for d=1, equiangular for d=2,
     spherical spiral for d=3, Gaussian normalization beyond, seeded with
     ``_DIRECTION_SEED``."""
+    n_samples = _count(n_samples, "the count of direction samples")
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if n_samples < 2:

@@ -94,7 +94,7 @@ def build_market_from_level_pmfs(level_pmfs: Sequence[Pmf]) -> ScenarioTree:
 
 def build_iid_market(increment_pmf: Sequence[tuple[float, Sequence[float] | float]], horizon: int) -> ScenarioTree:
     """Tree with identical branching at every node: increments i.i.d. over time."""
-    if horizon < 1:
+    if _count(horizon, "horizon") < 1:
         raise ValidationError("horizon must be >= 1")
     pmf = normalize_pmf(increment_pmf)
     return build_market_from_level_pmfs([pmf] * horizon)
@@ -157,7 +157,7 @@ def build_discretized_diffusion(
     An ellipticity spot-check failure does not abort the build: it is recorded
     on the tree's warnings so a certificate can still be attempted.
     """
-    if horizon < 1:
+    if _count(horizon, "horizon") < 1:
         raise ValidationError("horizon must be >= 1")
     traded = [int(i) for i in traded]
     if not traded or len(set(traded)) != len(traded):

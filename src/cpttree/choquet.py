@@ -196,6 +196,10 @@ class CPTValue:
         return cls(v_plus=v_plus, v_minus=v_minus, v=v, admissible=admissible)
 
     def to_json_dict(self) -> dict:
+        """The frozen form of ``value.json`` and ``optimize.json``: an infinite
+        side is null, flagged by ``v_plus_infinite``. The CLI's writer would
+        put the record itself field by field, +inf as ``"inf"``, and drop the
+        flag."""
         return {
             "v_plus": None if is_inf(self.v_plus) else float(self.v_plus),
             "v_minus": None if is_inf(self.v_minus) else float(self.v_minus),

@@ -16,6 +16,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, _from_module
+from . import _EXPORTS, __version__, _from_module
 from .errors import ValidationError
 from .tree import _fmt
 
@@ -32,24 +33,15 @@ if TYPE_CHECKING:
     from .preferences import PreferenceSpec
     from .tree import PureStrategy
 
-# The library names the subcommands call. A run reads each through ``_lib``,
-# so it imports only the modules its subcommand calls. Code outside this
-# module that reads one of them (a test's monkeypatch, a tracer's wrapper)
-# binds them all here at once, the objects an eager import of them binds.
-_LIBRARY = (
-    "marche_certificate", "validate_certificate", "cpt_value", "SearchConfig", "ladder",
-    "optimize_pure", "optimize_randomized", "DistortionPair", "Distortion", "PreferenceSpec",
-    "UtilityPair", "check_conditions", "coin_model_preferences", "parse_preferences",
-    "SELF_TEST_SEED", "toolkit_self_test", "PureStrategy", "ReferenceSpec", "parse_market",
-    "illposed_demo", "boundedness_probe",
-)
-
-
+# A run reads the library names its subcommand calls through ``_lib``, so it
+# imports only the modules that subcommand needs. Code outside this module
+# that reads an exported name here (a test's monkeypatch, a tracer's wrapper)
+# binds every export at once, the objects an eager import of them binds.
 def __getattr__(name: str):
-    if name not in _LIBRARY:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     bound = globals()
-    for n in _LIBRARY:
+    for n in _EXPORTS:
         if n not in bound:
             bound[n] = _from_module(n)
     return bound[name]
@@ -63,7 +55,9 @@ def _lib(name: str):
 
 
 def _dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits, tuples
+    as lists, a dataclass as the dict of its fields and the tagged ``POS_INF``
+    as the string ``"inf"``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -92,6 +86,14 @@ def _dumps(obj, indent: int = 0) -> str:
             f"{inner}{json.dumps(str(k))}: {_dumps(v, indent + 1)}" for k, v in sorted(obj.items())
         )
         return "{\n" + items + "\n" + pad + "}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return _dumps(fields, indent)
+    # imported here: a run whose artifacts hold no extended real never loads it
+    from .extreal import POS_INF
+
+    if obj is POS_INF:
+        return '"inf"'
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -133,6 +135,8 @@ class _Run:
         self.write(name, _dumps(obj) + "\n")
 
     def finish(self) -> None:
+        if not self.outputs:
+            raise ValidationError(f"--format {self.fmt} selects no artifact of {self.subcommand}")
         manifest = {
             "subcommand": self.subcommand,
             "parameters": self.parameters,
@@ -226,49 +230,44 @@ def _parse_floats(text: str, option: str) -> list[float]:
         raise ValidationError(f"{option}: {exc}") from exc
 
 
-def _cmd_value(run: _Run, args) -> int:
+def _market_inputs(run: _Run, args) -> tuple:
+    """The market, the preferences and the constant benchmark of ``--market
+    --pref --set --benchmark``."""
     tree = _lib("parse_market")(run.read_input(args.market))
     pref = _load_preferences(run, args.pref, args.set)
+    return tree, pref, _lib("ReferenceSpec").constant(tree, args.benchmark)
+
+
+def _cmd_value(run: _Run, args) -> int:
+    tree, pref, ref = _market_inputs(run, args)
     strategy = _strategy_from_args(run, tree, args)
-    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
     value = _lib("cpt_value")(tree, strategy, args.x0, ref, pref)
+    # the value's own form: null plus ``v_plus_infinite`` for an infinite gain side
     run.write_json("value.json", value.to_json_dict())
     return 0
 
 
 def _cmd_optimize(run: _Run, args) -> int:
-    tree = _lib("parse_market")(run.read_input(args.market))
-    pref = _load_preferences(run, args.pref, args.set)
-    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
+    tree, pref, ref = _market_inputs(run, args)
     cfg = _lib("SearchConfig")(box_radius=args.box, multistart=args.multistart, seed=args.seed)
     if args.atoms > 1:
         strategy, value = _lib("optimize_randomized")(tree, pref, args.x0, ref, args.atoms, cfg)
-        payload = {
-            "value": value.to_json_dict(),
-            "n_atoms": args.atoms,
-            "atoms": [
-                {"weight": w, "strategy": _strategy_json(s)} for w, s in strategy.atoms
-            ],
+        found = {
+            "atoms": [{"weight": w, "strategy": _strategy_json(s)} for w, s in strategy.atoms]
         }
     else:
         strategy, value = _lib("optimize_pure")(tree, pref, args.x0, ref, cfg)
-        payload = {
-            "value": value.to_json_dict(),
-            "n_atoms": 1,
-            "strategy": _strategy_json(strategy),
-        }
+        found = {"strategy": _strategy_json(strategy)}
+    payload = {"value": value.to_json_dict(), "n_atoms": args.atoms, **found}
     run.write_json("optimize.json", payload)
     return 0
 
 
 def _cmd_probe(run: _Run, args) -> int:
-    tree = _lib("parse_market")(run.read_input(args.market))
-    pref = _load_preferences(run, args.pref, args.set)
-    ref = _lib("ReferenceSpec").constant(tree, args.benchmark)
+    tree, pref, ref = _market_inputs(run, args)
     cfg = _lib("SearchConfig")(multistart=args.multistart, seed=args.seed)
     radii = _parse_floats(args.radii, "--radii")
-    result = _lib("boundedness_probe")(tree, pref, args.x0, ref, radii, cfg)
-    run.write_json("probe.json", result.to_json_dict())
+    run.write_json("probe.json", _lib("boundedness_probe")(tree, pref, args.x0, ref, radii, cfg))
     return 0
 
 
@@ -277,7 +276,7 @@ def _cmd_ladder(run: _Run, args) -> int:
     result = _lib("ladder")(args.n, cfg)
     csv = "n,M_n\n" + "".join(f"{k},{_fmt(v)}\n" for k, v in enumerate(result.values))
     run.write("ladder.csv", csv)
-    run.write_json("ladder.json", vars(result))  # values, argmax and box_bound
+    run.write_json("ladder.json", result)  # values, argmax and box_bound
     return 0
 
 
@@ -291,7 +290,7 @@ def _cmd_illposed(run: _Run, args) -> int:
     )
     n_list = _parse_floats(args.scan, "--scan")
     report, rows = _lib("illposed_demo")(pref, args.ell, n_list)
-    run.write_json("report.json", report.to_json_dict())
+    run.write_json("report.json", report)
     csv = "n,v_plus,v_minus,v\n" + "".join(
         f"{_fmt(r.n)},{_fmt(r.v_plus)},{_fmt(r.v_minus)},{_fmt(r.v)}\n" for r in rows
     )
@@ -301,7 +300,7 @@ def _cmd_illposed(run: _Run, args) -> int:
 
 def _cmd_check_wellposed(run: _Run, args) -> int:
     pref = _load_preferences(run, args.pref, args.set)
-    run.write_json("report.json", _lib("check_conditions")(pref).to_json_dict())
+    run.write_json("report.json", _lib("check_conditions")(pref))
     return 0
 
 
@@ -338,63 +337,59 @@ def _cmd_toolkit(run: _Run, args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default=".", help="artifact directory")
-    sp.add_argument("--format", choices=["json", "csv", "both"], default="both")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpttree",
         description="Evaluate, diagnose and optimize CPT objectives on finite scenario-tree markets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every subcommand takes, and those of a market with preferences
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=".", help="artifact directory")
+    common.add_argument("--format", choices=["json", "csv", "both"], default="both")
+    market = argparse.ArgumentParser(add_help=False)
+    market.add_argument("--market", required=True)
+    market.add_argument("--pref", default=None)
+    market.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    market.add_argument("--x0", type=_finite_float, default=0.0)
+    market.add_argument("--benchmark", type=_finite_float, default=0.0)
 
-    sp = sub.add_parser("value", help="CPT value of a strategy on a market")
-    sp.add_argument("--market", required=True)
-    sp.add_argument("--pref", default=None)
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    sp = sub.add_parser(
+        "value", parents=[market, common], help="CPT value of a strategy on a market"
+    )
     sp.add_argument("--theta", type=_finite_float, default=None, help="constant allocation")
     sp.add_argument("--strategy", default=None, help="JSON strategy file")
-    sp.add_argument("--x0", type=_finite_float, default=0.0)
-    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_value)
 
-    sp = sub.add_parser("optimize", help="search for the best (randomized) strategy")
-    sp.add_argument("--market", required=True)
-    sp.add_argument("--pref", default=None)
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    sp.add_argument("--x0", type=_finite_float, default=0.0)
-    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
+    sp = sub.add_parser(
+        "optimize", parents=[market, common], help="search for the best (randomized) strategy"
+    )
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--box", type=_finite_float, default=None)
     sp.add_argument("--multistart", type=_int_at_least(1), default=4)
     sp.add_argument("--atoms", type=_int_at_least(1), default=1)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_optimize)
 
-    sp = sub.add_parser("probe", help="best values found under growing search boxes")
-    sp.add_argument("--market", required=True)
-    sp.add_argument("--pref", default=None)
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    sp.add_argument("--x0", type=_finite_float, default=0.0)
-    sp.add_argument("--benchmark", type=_finite_float, default=0.0)
+    sp = sub.add_parser(
+        "probe", parents=[market, common], help="best values found under growing search boxes"
+    )
     sp.add_argument("--radii", default="1,2,4,8,16,32,64", help="increasing box radii")
     sp.add_argument("--seed", type=_int_at_least(0), default=0)
     sp.add_argument("--multistart", type=_int_at_least(1), default=4)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_probe)
 
-    sp = sub.add_parser("randomization-ladder", help="coin-model values over external coins")
+    sp = sub.add_parser(
+        "randomization-ladder", parents=[common], help="coin-model values over external coins"
+    )
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--seed", type=_int_at_least(0), default=0, help="ignored: the ladder is exact")
     sp.add_argument("--multistart", type=int, default=4, help="ignored: the ladder is exact")
     sp.add_argument("--box", type=_finite_float, default=None)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_ladder)
 
-    sp = sub.add_parser("illposed-demo", help="closed-form two-step divergence demo")
+    sp = sub.add_parser(
+        "illposed-demo", parents=[common], help="closed-form two-step divergence demo"
+    )
     sp.add_argument("--alpha-plus", type=_finite_float, required=True)
     sp.add_argument("--gamma-plus", type=_finite_float, required=True)
     sp.add_argument("--alpha-minus", type=_finite_float, required=True)
@@ -402,30 +397,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-minus", type=_finite_float, default=1.0)
     sp.add_argument("--ell", type=_finite_float, required=True)
     sp.add_argument("--scan", default="10,1000,1000000")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_illposed)
 
-    sp = sub.add_parser("check-wellposed", help="parameter gates and lambda interval")
+    sp = sub.add_parser(
+        "check-wellposed", parents=[common], help="parameter gates and lambda interval"
+    )
     sp.add_argument("--pref", required=True)
     sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_check_wellposed)
 
-    sp = sub.add_parser("marche-check", help="quantitative no-arbitrage certificate")
+    sp = sub.add_parser(
+        "marche-check", parents=[common], help="quantitative no-arbitrage certificate"
+    )
     sp.add_argument("--market", required=True)
     sp.add_argument("--pi", default="0.25")
     sp.add_argument("--direction-samples", type=_int_at_least(2), default=128)
     sp.add_argument("--validate-kappa", default=None)
     sp.add_argument("--validate-pi", default=None)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_marche)
 
-    sp = sub.add_parser("toolkit", help="probability toolkit utilities")
+    sp = sub.add_parser("toolkit", parents=[common], help="probability toolkit utilities")
     sp.add_argument("action", choices=["self-test"])
     # None stands for the toolkit's own seed, which ``main`` reads only when
     # the toolkit runs
     sp.add_argument("--seed", type=_int_at_least(0), default=None)
-    _add_common(sp)
     sp.set_defaults(func=_cmd_toolkit)
 
     return parser

@@ -43,12 +43,3 @@ def ext_sub(a: ExtReal, b: ExtReal) -> ExtReal:
     if is_inf(a):
         return POS_INF
     return float(a) - float(b)
-
-
-def ext_json(x: ExtReal | None) -> float | None | str:
-    """JSON form: finite values pass through, +inf becomes the string 'inf'."""
-    if x is None:
-        return None
-    if is_inf(x):
-        return "inf"
-    return float(x)

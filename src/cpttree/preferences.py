@@ -269,17 +269,6 @@ class ParamReport:
     chosen_lambda: float | None
     tk_pathology_p: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "condition_a": self.condition_a,
-            "condition_bulb": self.condition_bulb,
-            "feasible_lambda_interval": (
-                list(self.feasible_lambda_interval) if self.feasible_lambda_interval else None
-            ),
-            "chosen_lambda": self.chosen_lambda,
-            "tk_pathology_p": self.tk_pathology_p,
-        }
-
 
 def check_conditions(pref: PreferenceSpec) -> ParamReport:
     """Evaluate the decisive gate, the weaker two-sided gate and the lambda interval."""

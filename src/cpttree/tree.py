@@ -93,10 +93,12 @@ class ScenarioTree:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-        if self.asset_dim < 1:
-            raise ValidationError("asset_dim must be >= 1")
+        # stored as the ints they count, so the market text reads them back
+        for size in ("horizon", "asset_dim"):
+            count = _count(getattr(self, size), size)
+            if count < 1:
+                raise ValidationError(f"{size} must be >= 1")
+            object.__setattr__(self, size, count)
         n = len(self.parent)
         if len(self.prob) != n or len(self.increments) != n:
             raise ValidationError("parent, prob and increments must have equal length")

@@ -10,7 +10,7 @@ bound, so boundedness cannot be restored by capping strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
@@ -20,7 +20,7 @@ from .builders import build_market_from_level_pmfs, coin_pmf, uniform_quantile_p
 from .choquet import CPTValue, _cpt_sides, _leaf_outcomes, tail_power_integral
 from .choquet import cpt_value  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .errors import ValidationError
-from .extreal import POS_INF, ExtReal, ext_json, ext_sub, is_finite, is_inf
+from .extreal import POS_INF, ExtReal, ext_sub, is_finite, is_inf
 from .optimize import SearchConfig, _probe_search
 from .optimize import optimize_pure  # noqa: F401  (cptbench/tracing.py wraps it here)
 from .preferences import PreferenceSpec, check_conditions
@@ -35,12 +35,18 @@ _PLATEAU_REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class IllposednessReport:
+    """Both sides of the two-step position, their difference ``v`` (None where
+    the loss side is infinite), the verdict and the truncation scan's (n, v)."""
+
     v_plus: ExtReal
     v_minus: ExtReal
     verdict: str
     scan: tuple[tuple[float, float], ...] | None = None
+    v: ExtReal | None = field(init=False)
 
     def __post_init__(self) -> None:
+        v = ext_sub(self.v_plus, self.v_minus) if is_finite(self.v_minus) else None
+        object.__setattr__(self, "v", v)
         if self.verdict == VERDICT_ILL_POSED:
             # at least two rows: all() of no adjacent pairs is true
             diverging_scan = self.scan is not None and len(self.scan) >= 2 and all(
@@ -51,18 +57,6 @@ class IllposednessReport:
                     "ill-posed verdict needs an infinite gain side with finite losses "
                     "or a strictly growing scan of at least two rows"
                 )
-
-    def to_json_dict(self) -> dict:
-        v = None
-        if is_finite(self.v_minus):
-            v = ext_json(ext_sub(self.v_plus, self.v_minus))
-        return {
-            "v_plus": ext_json(self.v_plus),
-            "v_minus": ext_json(self.v_minus),
-            "v": v,
-            "verdict": self.verdict,
-            "scan": [list(row) for row in self.scan] if self.scan is not None else None,
-        }
 
 
 class ScanRow(NamedTuple):
@@ -195,13 +189,6 @@ class ProbeResult:
     points: tuple[tuple[float, float], ...]
     plateau: bool
     plateau_rel_tol: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [list(p) for p in self.points],
-            "plateau": self.plateau,
-            "plateau_rel_tol": self.plateau_rel_tol,
-        }
 
 
 def boundedness_probe(

@@ -154,6 +154,24 @@ class TestUnitDirections:
     def test_one_dimension_is_exact_scan(self):
         assert unit_directions(1, 99).tolist() == [[1.0], [-1.0]]
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_the_count_must_be_an_integer(self, d, n):
+        # unit_directions(4, 3.5) raised a TypeError
+        with pytest.raises(ValidationError, match="direction samples must be an integer"):
+            unit_directions(d, n)
+
+    def test_certificates_refuse_a_fractional_count(self):
+        # the certificate sampled 3 directions and reported direction_samples 3,
+        # and the validation passed
+        plane = build_iid_market(
+            [(0.25, (1.0, 0.0)), (0.25, (-1.0, 0.0)), (0.25, (0.0, 1.0)), (0.25, (0.0, -1.0))], 1
+        )
+        with pytest.raises(ValidationError, match="direction samples must be an integer"):
+            marche_certificate(plane, 0.25, direction_samples=2.5)
+        with pytest.raises(ValidationError, match="direction samples must be an integer"):
+            validate_certificate(plane, 0.5, 0.25, direction_samples=2.5)
+
 
 def ref_support(tree, node):
     kids = [c for c in range(1, tree.n_nodes) if tree.parent[c] == node]

@@ -10,8 +10,10 @@ from cpttree import (
     ValidationError,
     build_discretized_diffusion,
     build_iid_market,
+    emit_market,
     emit_pmf,
     exponentiate_prices,
+    parse_market,
     parse_pmf,
     uniform_quantile_pmf,
 )
@@ -50,6 +52,19 @@ class TestIidMarket:
         with pytest.raises(ValidationError, match="sum"):
             build_iid_market([(0.5, 1.0), (0.5 + 1e-6, -1.0)], 1)
 
+    @pytest.mark.parametrize("horizon", [2.0, 1.5, "2"])
+    def test_horizon_must_be_an_integer(self, horizon):
+        # 2.0 raised a TypeError
+        with pytest.raises(ValidationError, match="horizon must be an integer"):
+            build_iid_market([(0.5, 1.0), (0.5, -1.0)], horizon)
+
+    def test_a_bool_horizon_counts_as_its_integer(self):
+        # as a seed of True runs seed 1
+        tree = build_iid_market([(0.5, 1.0), (0.5, -1.0)], True)
+        assert parse_market(emit_market(tree)) == tree == build_iid_market(
+            [(0.5, 1.0), (0.5, -1.0)], 1
+        )
+
     def test_small_probability_drift_normalized(self):
         tree = build_iid_market([(0.5, 1.0), (0.5 + 1e-12, -1.0)], 2)
         assert abs(tree.leaf_prob.sum() - 1.0) < 1e-12
@@ -73,6 +88,10 @@ class TestDiscretizedDiffusion:
         tree = build_discretized_diffusion(spec, 2, traded=[0])
         walk = build_iid_market([(0.5, 1.0), (0.5, -1.0)], 2)
         assert tree.increments == walk.increments
+        for horizon in (2.0, "2"):
+            # 2.0 raised a TypeError
+            with pytest.raises(ValidationError, match="horizon must be an integer"):
+                build_discretized_diffusion(spec, horizon, traded=[0])
         assert tree.prob == walk.prob
         assert tree.warnings == ()
 

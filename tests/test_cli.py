@@ -101,6 +101,55 @@ class TestBoundary:
             with pytest.raises(ValueError, match="non-finite"):
                 _dumps({"v": [1.0, x]})
 
+    def test_dumps_writes_tagged_inf_as_the_string_inf(self):
+        got = json.loads(_dumps({"b": [1.0, cpttree.POS_INF], "a": {"v": cpttree.POS_INF}}))
+        assert got == {"a": {"v": "inf"}, "b": [1.0, "inf"]}
+
+    def test_dumps_writes_a_nested_dataclass_field_by_field(self):
+        report = cpttree.IllposednessReport(
+            v_plus=2.0, v_minus=0.5, verdict="well-posed-instance", scan=((10.0, 1.0),)
+        )
+        # the fields come out sorted, not in their order v_plus, v_minus, verdict, scan, v
+        assert _dumps({"report": report, "tag": (1, 2)}) == _dumps({
+            "report": {
+                "scan": [[10.0, 1.0]], "v": 1.5, "v_minus": 0.5, "v_plus": 2.0,
+                "verdict": "well-posed-instance",
+            },
+            "tag": [1, 2],
+        })
+
+    def test_dumps_refuses_an_unknown_object(self):
+        for obj in (object(), {"v": {1.0}}, cpttree.IllposednessReport):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                _dumps(obj)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["value", "--theta", "0.25"],
+            ["optimize", "--multistart", "1"],
+            ["probe", "--radii", "1,2", "--multistart", "1"],
+            ["check-wellposed"],
+            ["marche-check"],
+            ["toolkit", "self-test"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_format_selecting_no_artifact_exits_2_and_writes_nothing(
+        self, tmp_path, coin_market_file, capsys, argv
+    ):
+        # --format csv used to exit 0 with a manifest of no outputs
+        if argv[0] == "check-wellposed":
+            pref = tmp_path / "coin.cfg"
+            pref.write_text(COIN_PREF)
+            argv = [*argv, "--pref", str(pref)]
+        elif argv[0] != "toolkit":
+            argv = [*argv, "--market", str(coin_market_file)]
+        out = tmp_path / "o"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+        assert "--format csv selects no artifact" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [["--pi", "abc"], ["--validate-kappa", "abc", "--validate-pi", "0.5"]])
     def test_marche_bad_levels_exit_2(self, tmp_path, coin_market_file, capsys, extra):
         code = main(["marche-check", "--market", str(coin_market_file), "--out", str(tmp_path)] + extra)
@@ -353,7 +402,7 @@ class TestProbeCommand:
             tree, cpttree.coin_model_preferences(), 0.3, cpttree.ReferenceSpec.constant(tree, 0.1),
             [0.5, 1.0, 2.0, 4.0], cpttree.SearchConfig(seed=1, multistart=2),
         )
-        assert read_json(outs[0] / "probe.json") == json.loads(_dumps(expected.to_json_dict()))
+        assert read_json(outs[0] / "probe.json") == json.loads(_dumps(expected))
         manifest = read_json(outs[0] / "manifest.json")
         assert manifest["subcommand"] == "probe" and manifest["seed"] == 1
         assert manifest["parameters"] == {

@@ -1,7 +1,7 @@
 """Frozen CLI artifacts: the sha256 of every artifact a subcommand writes.
 
-Each case runs ``cli.main`` in process on a fixed market. The manifests are
-left out, since they name the input paths. A change to the tree, wealth,
+Each case runs ``cli.main`` in process on a fixed market or preference file.
+The manifests are left out, since they name the input paths. A change to the tree, wealth,
 outcome or search code that keeps results keeps these bytes; a change that
 moves one of them changes results and has to say so.
 """
@@ -27,7 +27,18 @@ MARKETS = {
         prob=(1.0, 0.5, 0.5, 0.25, 0.5, 0.75, 0.5),
         increments=((0.0,), (1.0,), (-1.0,), (0.5,), (1.5,), (-2.0,), (-0.5,)),
     ),
+    "tri1": build_iid_market([(0.3, 1.2), (0.45, -0.8), (0.25, 0.3)], 1),
 }
+
+PREFS = {
+    # equal curvatures: no feasible lambda, and the TK pathology threshold is set
+    "tk": "alpha_plus=0.88\nalpha_minus=0.88\nk_minus=2.25\n"
+    "family_wplus=tk\ngamma_plus=0.61\nfamily_wminus=tk\ngamma_minus=0.69\n",
+    "coin": "alpha_plus=0.25\nalpha_minus=1.0\nfamily_wplus=power\ngamma_plus=0.5\n",
+}
+
+# illposed-demo flags: alpha+ 0.9 and gamma+ 0.5 give infinite gains for ell <= 1.8
+_ILL = ["illposed-demo", "--alpha-plus", "0.9", "--gamma-plus", "0.5", "--alpha-minus", "1.0"]
 
 CASES = {
     "value": (
@@ -71,17 +82,56 @@ CASES = {
             "ladder.json": "4d71b2b61fde0930f8a0da2cf2031e26960570de02916d0180184b7b51cdba5c",
         },
     ),
+    "probe_trinomial": (
+        ["probe", "--market", "tri1", "--x0", "0.3", "--benchmark", "0.1",
+         "--radii", "0,1,2,4,8,16,32,64", "--seed", "1"],
+        {"probe.json": "419fcb3a790d5309654c1083c01609d30d32ee55294c43368619eab405880c51"},
+    ),
+    "wellposed_tk": (
+        ["check-wellposed", "--pref", "tk"],
+        {"report.json": "7bd5e4fb3576f7468c6752b4ac03ad3ba60f21bdd81951a803484d0058affaa4"},
+    ),
+    "wellposed_coin": (
+        ["check-wellposed", "--pref", "coin"],
+        {"report.json": "33635b6c959b88525e678e45fa7f93f73d9f5210aea8606e3519be7d5f4a2e21"},
+    ),
+    # finite losses, infinite gains: "v_plus": "inf"
+    "illposed_ill": (
+        [*_ILL, "--gamma-minus", "1.0", "--ell", "1.5"],
+        {
+            "report.json": "bcdb0503e49983862d290a34a439b1ae0038131ba3eb1110097ed402189b32ab",
+            "scan.csv": "7fa9d49d1c15c2a91becaadf9fb415dafa4c36b5af1b7a4ce5d01180a0fe826d",
+        },
+    ),
+    # infinite losses: "v": null
+    "illposed_inconclusive": (
+        [*_ILL, "--gamma-minus", "0.5", "--ell", "1.5"],
+        {
+            "report.json": "92f659aa2ad1216409cefdb998d01859c31fa515bf28d291f7f6781db0467bef",
+            "scan.csv": "4ca7bf88470abff865727305f568262e2c0af40671cfe25f806e7f4b46eb20d0",
+        },
+    ),
+    # both sides finite
+    "illposed_well": (
+        [*_ILL, "--gamma-minus", "1.0", "--ell", "2.5"],
+        {
+            "report.json": "fef6a6d014da68d8dd6926d254236b7c2b12aab4cbd49a63b4c1119736bd9c25",
+            "scan.csv": "790c5454a85b35daca7e5298d6cfd89740fe001ba022529c817d21dbab601f6d",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_artifact_bytes(tmp_path, case):
     args, frozen = CASES[case]
-    if "--market" in args:
-        k = args.index("--market") + 1
-        path = tmp_path / f"{args[k]}.mkt"
-        path.write_text(emit_market(MARKETS[args[k]]))
-        args = [*args[:k], str(path), *args[k + 1 :]]
+    for option, suffix, texts in (("--market", "mkt", MARKETS), ("--pref", "cfg", PREFS)):
+        if option in args:
+            k = args.index(option) + 1
+            path = tmp_path / f"{args[k]}.{suffix}"
+            text = texts[args[k]]
+            path.write_text(text if isinstance(text, str) else emit_market(text))
+            args = [*args[:k], str(path), *args[k + 1 :]]
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
     written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")

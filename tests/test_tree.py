@@ -177,6 +177,33 @@ def malformed(rng, parent, prob, incs):
 
 
 class TestTreeValidation:
+    @pytest.mark.parametrize("size", ["horizon", "asset_dim"])
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1"])
+    def test_sizes_must_be_integers(self, size, bad):
+        # horizon=1.0 built a tree whose market text, "T=1.0 d=1", did not parse back
+        sizes = {"horizon": 1, "asset_dim": 1, size: bad}
+        with pytest.raises(ValidationError, match=f"{size} must be an integer"):
+            ScenarioTree(
+                **sizes,
+                parent=(-1, 0, 0),
+                prob=(1.0, 0.5, 0.5),
+                increments=((0.0,), (1.0,), (-1.0,)),
+            )
+
+    @pytest.mark.parametrize("one", [np.int64(1), True], ids=["numpy", "bool"])
+    def test_integer_sizes_are_stored_as_ints_and_round_trip(self, one):
+        # True counts as 1, as a seed of True does; it used to be written "T=True"
+        tree = ScenarioTree(
+            horizon=one,
+            asset_dim=one,
+            parent=(-1, 0, 0),
+            prob=(1.0, 0.5, 0.5),
+            increments=((0.0,), (1.0,), (-1.0,)),
+        )
+        assert type(tree.horizon) is int and type(tree.asset_dim) is int
+        assert emit_market(tree).startswith("T=1 d=1\n")
+        assert parse_market(emit_market(tree)) == tree
+
     def test_children_probabilities_must_sum_to_one(self):
         with pytest.raises(ValidationError, match="children probabilities"):
             ScenarioTree(

@@ -91,7 +91,15 @@ class TestTwoStepExample:
             IllposednessReport(v_plus=0.5, v_minus=1.0, verdict="ill-posed", scan=scan)
         report = IllposednessReport(v_plus=0.5, v_minus=1.0, verdict="ill-posed",
                                     scan=((1.0, -0.6), (10.0, -0.5)))
-        assert report.to_json_dict()["v"] == -0.5
+        assert report.v == -0.5
+
+    def test_v_is_derived_in_every_copy(self):
+        inconclusive = IllposednessReport(v_plus=POS_INF, v_minus=POS_INF, verdict="inconclusive")
+        assert inconclusive.v is None and replace(inconclusive, scan=((1.0, 0.0),)).v is None
+        finite = IllposednessReport(v_plus=2.0, v_minus=0.5, verdict="well-posed-instance")
+        assert replace(finite, scan=((10.0, 1.0),)).v == 1.5
+        with pytest.raises(TypeError):
+            IllposednessReport(v_plus=2.0, v_minus=0.5, verdict="well-posed-instance", v=0.0)
 
     def test_constructible_iff_gain_ratio_dominates(self):
         rng = np.random.default_rng(55)
@@ -161,7 +169,7 @@ class TestTruncationScan:
     def test_illposed_demo_report_carries_scan(self):
         report, rows = illposed_demo(ILL, 1.5, [10.0, 100.0])
         assert report.scan == tuple((r.n, r.v) for r in rows)
-        assert report.to_json_dict()["v_plus"] == "inf"
+        assert is_inf(report.v_plus) and is_inf(report.v)
 
 
 class TestOneStepScaling:
